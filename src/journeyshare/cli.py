@@ -39,12 +39,16 @@ def load_requests(path: str | Path) -> list[AgentRequest]:
         if header is None or [c.strip() for c in header] != ["agent", "origin", "destination"]:
             raise ParseError(f"{path}:1: expected header 'agent,origin,destination'")
         requests = []
+        first_line: dict[str, int] = {}
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != 3:
                 raise ParseError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
             agent, origin, destination = (c.strip() for c in row)
+            if agent in first_line:
+                raise ParseError(f"{path}:{lineno}: duplicate agent id {agent!r} (first on line {first_line[agent]})")
+            first_line[agent] = lineno
             requests.append(AgentRequest(agent=agent, origin=origin, destination=destination))
     return requests
 

@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .best_response import JointPlan, SharedCostModel, agent_cost, run_br_phase
 from .config import EngineConfig
-from .errors import ConsistencyError, InputError, JourneyShareError, ScenarioError
+from .errors import ConsistencyError, InputError, JourneyShareError, ParseError, ScenarioError
 from .grouping import Group, Part, identify_groups, relevant_timetable, split_into_parts
 from .metrics import ExperimentResult, GroupRecord, cost_improvement, prolongation, write_results_csv
 from .planning import AgentId, AgentRequest, Plan, plan_individual
@@ -144,8 +144,10 @@ def generate_requests(network: TransitNetwork, scenario: ScenarioConfig) -> list
 
 
 def prepare_network(network: TransitNetwork, config: EngineConfig = EngineConfig()) -> tuple[TransitNetwork, RelaxedGraph]:
-    """Add walking links and build the relaxed graph (do once per network)."""
+    """Add walking links, index departures per stop and build the relaxed
+    graph (do once per network)."""
     prepared = add_walking_links(network, config.walk_max_km, config.walk_speed_kmh)
+    prepared.stop_index  # build the cached index here, not in the first pipeline call
     return prepared, build_relaxed_graph(prepared)
 
 
@@ -183,7 +185,15 @@ def run_pipeline(
     parallel: int | None = None,
     prepared: tuple[TransitNetwork, RelaxedGraph] | None = None,
 ) -> PipelineArtifacts:
-    """Run the three phases for one request set and collect all metrics."""
+    """Run the three phases for one request set and collect all metrics.
+
+    Raises InputError when two requests share an agent id.
+    """
+    seen: set[AgentId] = set()
+    for request in requests:
+        if request.agent in seen:
+            raise InputError(f"duplicate agent id {request.agent!r} in requests")
+        seen.add(request.agent)
     result = ExperimentResult(scenario=scenario, n_agents=len(requests), direction=direction, seed=seed)
     artifacts = PipelineArtifacts(result=result)
     t_start = time.perf_counter()
@@ -321,7 +331,10 @@ def default_matrix(
 
 def load_matrix(path: str | Path) -> list[dict]:
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}:{exc.lineno}: malformed JSON: {exc.msg}") from exc
     return data if isinstance(data, list) else [data]
 
 
@@ -378,6 +391,14 @@ def run_batch(
     return results
 
 
+def _number(record: dict[str, str], col: str, where: str, kind=float):
+    """record[col] as a number; ParseError naming where and the column otherwise."""
+    try:
+        return kind(record[col])
+    except ValueError:
+        raise ParseError(f"{where}: non-numeric {col} {record[col]!r}") from None
+
+
 def validate_results_file(path: str | Path) -> int:
     """Re-check row-level invariants of a results.csv; returns the row count."""
     from .metrics import RESULTS_COLUMNS
@@ -390,9 +411,12 @@ def validate_results_file(path: str | Path) -> int:
         count = 0
         for lineno, row in enumerate(reader, start=2):
             count += 1
+            where = f"{path}:{lineno}"
+            if len(row) != len(RESULTS_COLUMNS):
+                raise ParseError(f"{where}: expected {len(RESULTS_COLUMNS)} fields, got {len(row)}")
             record = dict(zip(RESULTS_COLUMNS, row))
             if record["delta_c"]:
-                if float(record["delta_c"]) < -1e-12:
+                if _number(record, "delta_c", where) < -1e-12:
                     raise ConsistencyError(f"{path}:{lineno}: negative delta_c {record['delta_c']}")
             is_summary = record["group_id"] == ""
             if is_summary and (record["group_size"] or record["matched"] or record["delta_t"]):
@@ -402,9 +426,9 @@ def validate_results_file(path: str | Path) -> int:
                     raise ConsistencyError(f"{path}:{lineno}: matched/timed_out must be  0 or 1")
                 if record["delta_t"] and record["matched"] != "1":
                     raise ConsistencyError(f"{path}:{lineno}: delta_t present on unmatched group")
-                if int(record["group_size"]) < 1:
+                if _number(record, "group_size", where, int) < 1:
                     raise ConsistencyError(f"{path}:{lineno}: group_size must be >= 1")
             for col in ("t_initial_s", "t_br_s", "t_schedule_s", "t_total_s"):
-                if record[col] == "" or float(record[col]) < 0:
+                if record[col] == "" or _number(record, col, where) < 0:
                     raise ConsistencyError(f"{path}:{lineno}: missing or negative timing {col}")
     return count

@@ -174,29 +174,28 @@ def part_precedence(parts: list[Part]) -> list[int]:
 
 def relevant_timetable(parts: list[Part], network: TransitNetwork, group_id: int = 0) -> RelevantTimetable:
     """Timetabled legs linking two stops of one part in travel direction,
-    plus walking links between consecutive part stops."""
-    keep: dict[tuple[str, str, int], None] = {}
+    plus walking links between consecutive part stops.
+
+    Reads the network's per-stop index, so the cost is the number of
+    departures from the parts' stops, not parts times network size.
+    """
+    stop_index = network.stop_index
     connections: list[TimetabledConnection] = []
     seen: set[tuple[str, int]] = set()
     walks: set[WalkingLink] = set()
-    walk_index: dict[tuple[str, str], list[WalkingLink]] = {}
-    for link in network.walking_links:
-        walk_index.setdefault((link.from_stop, link.to_stop), []).append(link)
-
     for part in parts:
         index = {stop: i for i, stop in enumerate(part.stops)}
-        for conn in network.connections:
-            i = index.get(conn.from_stop)
-            j = index.get(conn.to_stop)
-            if i is None or j is None or i >= j:
-                continue
-            key = (conn.run_id, conn.seq)
-            if key not in seen:
-                seen.add(key)
-                connections.append(conn)
-        for a, b in zip(part.stops, part.stops[1:]):
-            for link in walk_index.get((a, b), []):
-                walks.add(link)
+        for stop, i in index.items():
+            for conn in stop_index.departures.get(stop, ()):
+                j = index.get(conn.to_stop)
+                if j is None or i >= j:
+                    continue
+                key = (conn.run_id, conn.seq)
+                if key not in seen:
+                    seen.add(key)
+                    connections.append(conn)
+        for pair in zip(part.stops, part.stops[1:]):
+            walks.update(stop_index.walks.get(pair, ()))
 
     connections.sort(key=lambda c: (c.service_id, c.run_id, c.seq))
     return RelevantTimetable(group_id=group_id, connections=tuple(connections), walks=frozenset(walks))

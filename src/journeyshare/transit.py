@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -93,12 +94,38 @@ class WalkingLink:
 
 
 @dataclass(frozen=True)
+class StopIndex:
+    """Timetabled connections grouped by from_stop, walking links by stop pair."""
+
+    departures: Mapping[str, tuple[TimetabledConnection, ...]]
+    walks: Mapping[tuple[str, str], tuple[WalkingLink, ...]]
+
+
+@dataclass(frozen=True)
 class TransitNetwork:
     """Immutable container for stops, timetabled connections and walking links."""
 
     stops: Mapping[str, Stop]
     connections: tuple[TimetabledConnection, ...]
     walking_links: frozenset[WalkingLink] = frozenset()
+
+    @cached_property
+    def stop_index(self) -> StopIndex:
+        """Departures and walking links per stop, built on first use.
+
+        The index references the network's own connection and link objects;
+        departures keep the network's connection order.
+        """
+        departures: dict[str, list[TimetabledConnection]] = {}
+        for conn in self.connections:
+            departures.setdefault(conn.from_stop, []).append(conn)
+        walks: dict[tuple[str, str], list[WalkingLink]] = {}
+        for link in self.walking_links:
+            walks.setdefault((link.from_stop, link.to_stop), []).append(link)
+        return StopIndex(
+            departures={stop: tuple(conns) for stop, conns in departures.items()},
+            walks={pair: tuple(links) for pair, links in walks.items()},
+        )
 
     def runs(self) -> dict[str, tuple[TimetabledConnection, ...]]:
         """Connections grouped by run id, each run ordered by seq."""

@@ -86,6 +86,37 @@ def random_digraph(rng: random.Random, n_nodes: int, edge_prob: float = 0.4, max
     return nodes, edges
 
 
+def brute_force_relevant_timetable(parts, network, group_id: int = 0):
+    """Relevant timetable by scanning every connection and walking link of
+    the network for every part."""
+    from journeyshare.grouping import RelevantTimetable
+
+    connections = []
+    seen = set()
+    walks = set()
+    walk_index: dict = {}
+    for link in network.walking_links:
+        walk_index.setdefault((link.from_stop, link.to_stop), []).append(link)
+
+    for part in parts:
+        index = {stop: i for i, stop in enumerate(part.stops)}
+        for conn in network.connections:
+            i = index.get(conn.from_stop)
+            j = index.get(conn.to_stop)
+            if i is None or j is None or i >= j:
+                continue
+            key = (conn.run_id, conn.seq)
+            if key not in seen:
+                seen.add(key)
+                connections.append(conn)
+        for a, b in zip(part.stops, part.stops[1:]):
+            for link in walk_index.get((a, b), []):
+                walks.add(link)
+
+    connections.sort(key=lambda c: (c.service_id, c.run_id, c.seq))
+    return RelevantTimetable(group_id=group_id, connections=tuple(connections), walks=frozenset(walks))
+
+
 # --- exhaustive scheduling oracle -----------------------------------------
 #
 # Enumerates every structurally possible chain of moves through a part and

@@ -83,6 +83,21 @@ class TestPlanCommand:
         )
         assert code == 1
 
+    def test_duplicate_agent_id_names_file_and_line(self, grid_dir, tmp_path, capsys):
+        requests = tmp_path / "requests.csv"
+        write_requests(requests, ["1,S0105,S0100", "1,S0104,S0101"])
+        code = main(
+            [
+                "plan",
+                "--stops", str(grid_dir / "stops.csv"),
+                "--timetable", str(grid_dir / "timetable.csv"),
+                "--requests", str(requests),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{requests}:3:" in err and "duplicate agent id '1'" in err
+
     def test_config_file_honoured(self, grid_dir, tmp_path):
         cfg = tmp_path / "engine.cfg"
         cfg.write_text("walk.max_km=0.9\nwalk.speed_kmh=4\nsched.limit.small_s=10\n")
@@ -145,6 +160,22 @@ class TestExperimentAndValidate:
         bad.write_text(",".join(RESULTS_COLUMNS) + "\ns,2,NS,1,-1.0,,,,,,0.1,0.1,0.1,0.3\n")
         code = main(["validate", "--results", str(bad)])
         assert code == 2
+
+    def test_malformed_matrix_json_is_input_error(self, tmp_path, capsys):
+        matrix_path = tmp_path / "matrix.json"
+        matrix_path.write_text('{\n  "scenario": "cli",\n  "agents": [2,\n}\n')
+        code = main(["experiment", "--matrix", str(matrix_path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert f"{matrix_path}:4: malformed JSON" in capsys.readouterr().err
+
+    def test_validate_non_numeric_field_is_input_error(self, tmp_path, capsys):
+        from journeyshare.metrics import RESULTS_COLUMNS
+
+        bad = tmp_path / "results.csv"
+        bad.write_text(",".join(RESULTS_COLUMNS) + "\ns,2,NS,1,0.5,,,,,,0.1,fast,0.1,0.3\n")
+        code = main(["validate", "--results", str(bad)])
+        assert code == 1
+        assert f"{bad}:2: non-numeric t_br_s 'fast'" in capsys.readouterr().err
 
     def test_validate_missing_file(self, tmp_path):
         code = main(["validate", "--results", str(tmp_path / "absent.csv")])

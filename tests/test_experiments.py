@@ -2,7 +2,7 @@ import csv
 
 import pytest
 
-from journeyshare.errors import ConsistencyError, InputError, ScenarioError
+from journeyshare.errors import ConsistencyError, InputError, ParseError, ScenarioError
 from journeyshare.experiments import (
     ScenarioConfig,
     admissible_pairs,
@@ -211,6 +211,11 @@ class TestRunPipeline:
         assert modes == ["service", "walk", "service"]
         assert itin.legs[1].from_stop == "C" and itin.legs[1].to_stop == "D"
 
+    def test_duplicate_agent_ids_rejected(self, grid_network):
+        requests = [AgentRequest(1, "S0105", "S0100"), AgentRequest(1, "S0104", "S0101")]
+        with pytest.raises(InputError, match="duplicate agent id 1"):
+            run_pipeline(grid_network, requests)
+
     def test_parallel_output_identical(self, grid_network):
         requests = [
             AgentRequest(agent=a, origin=f"S0{c}07", destination=f"S0{c}00")
@@ -361,4 +366,18 @@ class TestValidateResults:
         rows = [",".join(RESULTS_COLUMNS), "s,2,NS,1,0.5,,,,,,,0.1,0.1,0.3"]
         bad.write_text("\n".join(rows) + "\n")
         with pytest.raises(ConsistencyError, match="timing"):
+            validate_results_file(bad)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("s,2,NS,1,high,,,,,,0.1,0.1,0.1,0.3", "non-numeric delta_c 'high'"),
+            ("s,2,NS,1,0.5,0,two,1,0,0.1,0.1,0.1,0.1,0.3", "non-numeric group_size 'two'"),
+            ("s,2,NS", "expected 14 fields, got 3"),
+        ],
+    )
+    def test_malformed_row_is_parse_error(self, tmp_path, row, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(",".join(RESULTS_COLUMNS) + "\n" + row + "\n")
+        with pytest.raises(ParseError, match=r"bad\.csv:2: " + message):
             validate_results_file(bad)
