@@ -6,139 +6,4 @@ improve alone, then per-group matching of the shared routes against the
 24-hour timetable.
 """
 
-from .best_response import (
-    JointPlan,
-    SharedCostModel,
-    agent_cost,
-    best_response_step,
-    merge_plans,
-    rosenthal_potential,
-    run_br_phase,
-    shared_cost,
-)
-from .config import EngineConfig, load_config
-from .errors import (
-    ConsistencyError,
-    InputError,
-    JourneyShareError,
-    ParseError,
-    ReferentialError,
-    ScenarioError,
-    ValidationError,
-)
-from .experiments import (
-    ScenarioConfig,
-    admissible_pairs,
-    generate_requests,
-    prepare_network,
-    run_batch,
-    run_pipeline,
-    sample_requests,
-)
-from .grouping import Group, Part, RelevantTimetable, identify_groups, relevant_timetable, split_into_parts
-from .metrics import (
-    ExperimentResult,
-    GroupRecord,
-    cost_improvement,
-    prolongation,
-    prolongation_threshold_share,
-    scenario_prolongation,
-    success_rates,
-    write_results_csv,
-)
-from .planning import AgentRequest, Plan, plan_cost, plan_individual
-from .scheduling import (
-    GroupSchedule,
-    Itinerary,
-    LegAssignment,
-    PartSchedule,
-    ScheduleResult,
-    agent_itineraries,
-    earliest_arrival_in_part,
-    schedule_group,
-    schedule_single_agent,
-    time_limit_for,
-)
-from .synth import SyntheticNetworkSpec, build_synthetic_network, generate_synthetic_network
-from .transit import (
-    RelaxedGraph,
-    Stop,
-    TimetabledConnection,
-    TransitNetwork,
-    WalkingLink,
-    add_walking_links,
-    build_relaxed_graph,
-    haversine_km,
-    load_network,
-    save_network,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AgentRequest",
-    "ConsistencyError",
-    "EngineConfig",
-    "ExperimentResult",
-    "Group",
-    "GroupRecord",
-    "GroupSchedule",
-    "InputError",
-    "Itinerary",
-    "JointPlan",
-    "JourneyShareError",
-    "LegAssignment",
-    "ParseError",
-    "Part",
-    "PartSchedule",
-    "Plan",
-    "ReferentialError",
-    "RelaxedGraph",
-    "RelevantTimetable",
-    "ScenarioConfig",
-    "ScenarioError",
-    "ScheduleResult",
-    "SharedCostModel",
-    "Stop",
-    "SyntheticNetworkSpec",
-    "TimetabledConnection",
-    "TransitNetwork",
-    "ValidationError",
-    "WalkingLink",
-    "add_walking_links",
-    "admissible_pairs",
-    "agent_cost",
-    "agent_itineraries",
-    "best_response_step",
-    "build_relaxed_graph",
-    "build_synthetic_network",
-    "cost_improvement",
-    "earliest_arrival_in_part",
-    "generate_requests",
-    "generate_synthetic_network",
-    "haversine_km",
-    "identify_groups",
-    "load_config",
-    "load_network",
-    "merge_plans",
-    "plan_cost",
-    "plan_individual",
-    "prepare_network",
-    "prolongation",
-    "prolongation_threshold_share",
-    "relevant_timetable",
-    "scenario_prolongation",
-    "rosenthal_potential",
-    "run_batch",
-    "run_br_phase",
-    "run_pipeline",
-    "sample_requests",
-    "save_network",
-    "schedule_group",
-    "schedule_single_agent",
-    "shared_cost",
-    "split_into_parts",
-    "success_rates",
-    "time_limit_for",
-    "write_results_csv",
-]

@@ -19,27 +19,19 @@ from .transit import RelaxedGraph
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class SharedCostModel:
-    """Group-discount parameters: share discounted with group size, plus floor."""
-
-    discount_share: float = 0.8
-    floor_share: float = 0.2
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.discount_share < 1.0 and 0.0 < self.floor_share < 1.0):
-            raise InputError("cost shares must lie strictly between 0 and 1")
-        if abs(self.discount_share + self.floor_share - 1.0) > 1e-9:
-            raise InputError("discount_share and floor_share must sum to 1")
+# the share of an edge's solo cost that is split among its n users, and the
+# share every user pays regardless of group size
+DISCOUNT_SHARE = 0.8
+FLOOR_SHARE = 0.2
 
 
-def shared_cost(model: SharedCostModel, c_single: float, n: int) -> float:
+def shared_cost(c_single: float, n: int) -> float:
     """Cost per traveller of an edge of solo cost c_single in a group of n."""
     if n < 1:
         raise InputError(f"group size must be >= 1, got {n}")
     if c_single < 0:
         raise InputError("cost must be nonnegative")
-    return (model.discount_share / n + model.floor_share) * c_single
+    return (DISCOUNT_SHARE / n + FLOOR_SHARE) * c_single
 
 
 @dataclass(frozen=True)
@@ -85,36 +77,28 @@ def merge_plans(plans: Iterable[Plan]) -> JointPlan:
     )
 
 
-def agent_cost(joint: JointPlan, agent: AgentId, model: SharedCostModel, graph: RelaxedGraph) -> float:
+def agent_cost(joint: JointPlan, agent: AgentId, graph: RelaxedGraph) -> float:
     """The agent's discounted plan cost given everyone's current routes."""
     if agent not in joint.per_agent:
         raise InputError(f"agent {agent!r} not present in joint plan")
     total = 0.0
     for leg in joint.per_agent[agent].legs:
         n = len(joint.edges[leg])
-        total += shared_cost(model, float(graph.edges[leg]), n)
+        total += shared_cost(float(graph.edges[leg]), n)
     return total
 
 
-def total_cost(joint: JointPlan, model: SharedCostModel, graph: RelaxedGraph) -> float:
-    return sum(agent_cost(joint, agent, model, graph) for agent in sorted(joint.per_agent))
-
-
-def occupancy_cost(
-    joint: JointPlan, agent: AgentId, model: SharedCostModel, graph: RelaxedGraph
-) -> Callable[[Edge], float]:
+def occupancy_cost(joint: JointPlan, agent: AgentId, graph: RelaxedGraph) -> Callable[[Edge], float]:
     """Edge costs the agent faces when replanning while everyone else stays put."""
 
     def cost(edge: Edge) -> float:
         others = len(joint.agents_on(edge) - {agent})
-        return shared_cost(model, float(graph.edges[edge]), 1 + others)
+        return shared_cost(float(graph.edges[edge]), 1 + others)
 
     return cost
 
 
-def best_response_step(
-    joint: JointPlan, agent: AgentId, graph: RelaxedGraph, model: SharedCostModel
-) -> Plan:
+def best_response_step(joint: JointPlan, agent: AgentId, graph: RelaxedGraph) -> Plan:
     """The agent's cheapest route against the others' fixed routes.
 
     Falls back to the current plan (logged) if the destination became
@@ -124,7 +108,7 @@ def best_response_step(
     if current is None:
         raise InputError(f"agent {agent!r} not present in joint plan")
     request = AgentRequest(agent=agent, origin=current.legs[0][0], destination=current.legs[-1][1])
-    best = plan_individual(graph, request, occupancy_cost(joint, agent, model, graph))
+    best = plan_individual(graph, request, occupancy_cost(joint, agent, graph))
     if best is None:
         logger.warning("agent %r has no route in best-response step; keeping current plan", agent)
         return current
@@ -150,24 +134,23 @@ def _replace_plan(joint: JointPlan, agent: AgentId, new_plan: Plan) -> JointPlan
 def run_br_phase(
     initial: Iterable[Plan],
     graph: RelaxedGraph,
-    model: SharedCostModel,
     max_rounds: int = 100,
     on_step: Callable[[JointPlan], None] | None = None,
 ) -> JointPlan:
     """Round-robin best-response sweeps until no traveller improves.
 
-    A plan change is adopted only when it strictly lowers that traveller's
-    own cost, so a sweep without adoptions leaves the total joint cost
-    unchanged (within the 1e-9 convergence epsilon) and certifies that no
-    unilateral improvement remains.  max_rounds caps pathological cases.
+    A plan change is adopted only when its cost is below the traveller's
+    current cost as raw floats: there is no epsilon, so float noise can count
+    as an improvement.  A sweep without adoptions certifies that no unilateral
+    improvement remains.  max_rounds caps pathological cases.
     """
     joint = merge_plans(initial)
     agents = sorted(joint.per_agent)
     for round_no in range(1, max_rounds + 1):
         improved = False
         for agent in agents:
-            candidate = best_response_step(joint, agent, graph, model)
-            if candidate.total_cost < agent_cost(joint, agent, model, graph):
+            candidate = best_response_step(joint, agent, graph)
+            if candidate.total_cost < agent_cost(joint, agent, graph):
                 joint = _replace_plan(joint, agent, candidate)
                 improved = True
             if on_step is not None:
@@ -179,7 +162,7 @@ def run_br_phase(
     return joint
 
 
-def rosenthal_potential(joint: JointPlan, model: SharedCostModel, graph: RelaxedGraph) -> float:
+def rosenthal_potential(joint: JointPlan, graph: RelaxedGraph) -> float:
     """Potential that decreases whenever a traveller strictly improves.
 
     Per edge with n users it accumulates the costs a 1st, 2nd, ... nth user
@@ -189,5 +172,5 @@ def rosenthal_potential(joint: JointPlan, model: SharedCostModel, graph: Relaxed
     for edge in sorted(joint.edges):
         base = float(graph.edges[edge])
         for k in range(1, len(joint.edges[edge]) + 1):
-            value += shared_cost(model, base, k)
+            value += shared_cost(base, k)
     return value

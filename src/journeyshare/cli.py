@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .config import EngineConfig, load_config
-from .errors import ConsistencyError, JourneyShareError
+from .errors import ConsistencyError, InputError, JourneyShareError, ParseError
 from .experiments import load_matrix, run_batch, run_pipeline, validate_results_file
 from .grouping import group_to_dict
 from .metrics import write_results_csv
@@ -31,8 +31,6 @@ logger = logging.getLogger(__name__)
 
 
 def load_requests(path: str | Path) -> list[AgentRequest]:
-    from .errors import ParseError
-
     with open(path, encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -49,7 +47,10 @@ def load_requests(path: str | Path) -> list[AgentRequest]:
             if agent in first_line:
                 raise ParseError(f"{path}:{lineno}: duplicate agent id {agent!r} (first on line {first_line[agent]})")
             first_line[agent] = lineno
-            requests.append(AgentRequest(agent=agent, origin=origin, destination=destination))
+            try:
+                requests.append(AgentRequest(agent=agent, origin=origin, destination=destination))
+            except InputError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from exc
     return requests
 
 
@@ -186,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:
     except JourneyShareError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

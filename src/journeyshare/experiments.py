@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import random
 import statistics
 import time
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .best_response import JointPlan, SharedCostModel, agent_cost, run_br_phase
+from .best_response import JointPlan, agent_cost, run_br_phase
 from .config import EngineConfig
 from .errors import ConsistencyError, InputError, JourneyShareError, ParseError, ScenarioError
 from .grouping import Group, Part, identify_groups, relevant_timetable, split_into_parts
@@ -55,24 +56,6 @@ DEFAULT_SYNTH_SPEC = SyntheticNetworkSpec(
     last_arrival=1200,
     line_offset_min=37,
 )
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    scenario: str
-    n_agents: int
-    direction: str
-    min_km: float = 20.0
-    max_km: float = 160.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n_agents < 2 or self.n_agents % 2 != 0:
-            raise InputError(f"scenario agent count must be even and >= 2, got {self.n_agents}")
-        if self.direction not in DIRECTIONS:
-            raise InputError(f"direction must be one of {DIRECTIONS}, got {self.direction!r}")
-        if not 0 <= self.min_km < self.max_km:
-            raise InputError("distance window must satisfy 0 <= min < max")
 
 
 def quadrant_axes(network: TransitNetwork) -> tuple[float, float]:
@@ -138,11 +121,6 @@ def sample_requests(pairs: Sequence[tuple[str, str]], n_agents: int, seed: int) 
     return requests
 
 
-def generate_requests(network: TransitNetwork, scenario: ScenarioConfig) -> list[AgentRequest]:
-    pairs = admissible_pairs(network, scenario.direction, scenario.min_km, scenario.max_km)
-    return sample_requests(pairs, scenario.n_agents, scenario.seed)
-
-
 def prepare_network(network: TransitNetwork, config: EngineConfig = EngineConfig()) -> tuple[TransitNetwork, RelaxedGraph]:
     """Add walking links, index departures per stop and build the relaxed
     graph (do once per network)."""
@@ -156,7 +134,6 @@ class PipelineArtifacts:
     """Everything one pipeline run produced, for inspection and validation."""
 
     result: ExperimentResult
-    graph: RelaxedGraph | None = None
     initial_plans: dict[AgentId, Plan] = field(default_factory=dict)
     joint: JointPlan | None = None
     groups: list[Group] = field(default_factory=list)
@@ -178,7 +155,6 @@ def run_pipeline(
     network: TransitNetwork,
     requests: Sequence[AgentRequest],
     config: EngineConfig = EngineConfig(),
-    model: SharedCostModel = SharedCostModel(),
     scenario: str = "adhoc",
     direction: str = "",
     seed: int = 0,
@@ -201,7 +177,6 @@ def run_pipeline(
     if prepared is None:
         prepared = prepare_network(network, config)
     prepared_network, graph = prepared
-    artifacts.graph = graph
 
     t0 = time.perf_counter()
     plans = _map_ordered(lambda req: plan_individual(graph, req), list(requests), parallel)
@@ -218,12 +193,12 @@ def run_pipeline(
 
     t0 = time.perf_counter()
     if initial:
-        joint = run_br_phase(initial.values(), graph, model)
+        joint = run_br_phase(initial.values(), graph)
         artifacts.joint = joint
         for agent in sorted(initial):
-            result.shared_costs[agent] = agent_cost(joint, agent, model, graph)
+            result.shared_costs[agent] = agent_cost(joint, agent, graph)
         try:
-            result.delta_c = cost_improvement(initial.values(), joint, model, graph)
+            result.delta_c = cost_improvement(initial.values(), joint, graph)
         except InputError as exc:
             result.errors.append(f"cost improvement: {exc}")
     result.timings["br"] = time.perf_counter() - t0
@@ -286,8 +261,7 @@ def run_pipeline(
     return artifacts
 
 
-def _load_cell_network(cell: dict) -> TransitNetwork:
-    source = cell.get("network", {})
+def _load_cell_network(source: dict) -> TransitNetwork:
     if "synthetic" in source:
         try:
             spec = SyntheticNetworkSpec(**source["synthetic"])
@@ -338,33 +312,86 @@ def load_matrix(path: str | Path) -> list[dict]:
     return data if isinstance(data, list) else [data]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _cell_settings(cell, cell_index: int) -> dict:
+    """The cell's settings with defaults filled in.
+
+    Raises InputError naming the cell index, the scenario and the first key
+    whose value breaks its rule.
+    """
+    if not isinstance(cell, dict):
+        raise InputError(f"matrix cell {cell_index}: expected a JSON object, got {cell!r}")
+    settings = {
+        "scenario": f"cell{cell_index}",
+        "network": {},
+        "engine": {},
+        "agents": [2],
+        "directions": list(DIRECTIONS),
+        "seeds_per_direction": 10,
+        "base_seed": 0,
+        "min_km": 20.0,
+        "max_km": 160.0,
+        **cell,
+    }
+    rules = {
+        "scenario": ("a string", lambda v: isinstance(v, str)),
+        "network": ("an object", lambda v: isinstance(v, dict)),
+        "engine": (
+            "an object of finite numbers",
+            lambda v: isinstance(v, dict) and all(_is_number(x) and math.isfinite(x) for x in v.values()),
+        ),
+        "agents": ("a list of integers >= 1", lambda v: isinstance(v, list) and all(_is_int(n) and n >= 1 for n in v)),
+        "directions": (
+            f"a list drawn from {list(DIRECTIONS)}",
+            lambda v: isinstance(v, list) and all(d in DIRECTIONS for d in v),
+        ),
+        "seeds_per_direction": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
+        "base_seed": ("an integer", _is_int),
+        "min_km": ("a number >= 0", lambda v: _is_number(v) and v >= 0),
+        "max_km": ("a number above min_km", lambda v: _is_number(v) and v > settings["min_km"]),
+    }
+    for key, (rule, holds) in rules.items():
+        if not holds(settings[key]):
+            raise InputError(
+                f"matrix cell {cell_index} (scenario {settings['scenario']!r}): "
+                f"{key} must be {rule}, got {settings[key]!r}"
+            )
+    return settings
+
+
 def run_batch(
     matrix: dict | list[dict],
     out_path: str | Path | None = None,
     parallel: int | None = None,
 ) -> list[ExperimentResult]:
-    """Run every cell of the matrix; optionally write results.csv."""
+    """Run every cell of the matrix; optionally write results.csv.
+
+    Raises InputError for a cell whose settings break a rule of _cell_settings.
+    """
     cells = matrix if isinstance(matrix, list) else [matrix]
     results: list[ExperimentResult] = []
     for cell_index, cell in enumerate(cells):
-        scenario = cell.get("scenario", f"cell{cell_index}")
-        network = _load_cell_network(cell)
+        settings = _cell_settings(cell, cell_index)
+        scenario = settings["scenario"]
+        network = _load_cell_network(settings["network"])
         try:
-            config = EngineConfig(**cell.get("engine", {}))
+            config = EngineConfig(**settings["engine"])
         except TypeError as exc:
-            raise InputError(f"cell {scenario!r}: bad engine settings: {exc}") from exc
+            raise InputError(f"matrix cell {cell_index} (scenario {scenario!r}): bad engine settings: {exc}") from exc
         prepared = prepare_network(network, config)
-        agents_list = cell.get("agents", [2])
-        directions = cell.get("directions", list(DIRECTIONS))
-        seeds_per_direction = int(cell.get("seeds_per_direction", 10))
-        base_seed = int(cell.get("base_seed", 0))
-        min_km = float(cell.get("min_km", 20.0))
-        max_km = float(cell.get("max_km", 160.0))
-        for di, direction in enumerate(directions):
-            pairs = admissible_pairs(network, direction, min_km, max_km)
-            for replicate in range(seeds_per_direction):
-                seed = base_seed + 100000 * cell_index + 100 * di + replicate
-                for n_agents in agents_list:
+        for di, direction in enumerate(settings["directions"]):
+            pairs = admissible_pairs(network, direction, settings["min_km"], settings["max_km"])
+            for replicate in range(settings["seeds_per_direction"]):
+                seed = settings["base_seed"] + 100000 * cell_index + 100 * di + replicate
+                for n_agents in settings["agents"]:
+                    t_start = time.perf_counter()
                     try:
                         requests = sample_requests(pairs, n_agents, seed)
                         artifacts = run_pipeline(
@@ -384,6 +411,9 @@ def run_batch(
                             scenario=scenario, n_agents=n_agents, direction=direction, seed=seed
                         )
                         failed.errors.append(str(exc))
+                        # a failed experiment reached no phase, but validate still needs every timing
+                        failed.timings = dict.fromkeys(("initial", "br", "schedule"), 0.0)
+                        failed.timings["total"] = time.perf_counter() - t_start
                         results.append(failed)
     results.sort(key=lambda r: (r.scenario, r.n_agents, r.direction, r.seed))
     if out_path is not None:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .best_response import JointPlan, SharedCostModel, agent_cost
+from .best_response import JointPlan, agent_cost
 from .errors import InputError
 from .planning import AgentId, Plan
 from .scheduling import Itinerary
@@ -62,9 +62,7 @@ class ExperimentResult:
     errors: list[str] = field(default_factory=list)
 
 
-def cost_improvement(
-    initial: Iterable[Plan], joint: JointPlan, model: SharedCostModel, graph: RelaxedGraph
-) -> float:
+def cost_improvement(initial: Iterable[Plan], joint: JointPlan, graph: RelaxedGraph) -> float:
     """Relative saving of the shared joint plan over the solo plans.
 
     (sum of solo costs - sum of discounted costs) / sum of solo costs; agents
@@ -77,7 +75,7 @@ def cost_improvement(
     shared_total = 0.0
     for agent in sorted(initial_by_agent):
         solo_total += initial_by_agent[agent].total_cost
-        shared_total += agent_cost(joint, agent, model, graph)
+        shared_total += agent_cost(joint, agent, graph)
     if solo_total == 0.0:
         raise InputError("total initial cost is zero; improvement undefined")
     return (solo_total - shared_total) / solo_total

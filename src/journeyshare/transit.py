@@ -79,10 +79,6 @@ class TimetabledConnection:
         if self.duration <= 0:
             raise ValidationError(f"run {self.run_id} seq {self.seq}: duration must be positive")
 
-    @property
-    def arrival(self) -> int:
-        return self.departure + self.duration
-
 
 @dataclass(frozen=True)
 class WalkingLink:
@@ -140,19 +136,11 @@ class TransitNetwork:
 
 @dataclass(frozen=True)
 class RelaxedGraph:
-    """Directed stop graph with minimal inter-stop durations.
-
-    `backing` records, per edge, the cheapest timetabled leg behind it
-    (ties broken by lowest (service_id, run_id, seq)) or the walking link.
-    """
+    """Directed stop graph with minimal inter-stop durations."""
 
     nodes: frozenset[str]
     edges: Mapping[tuple[str, str], int]
-    backing: Mapping[tuple[str, str], tuple]
     out_neighbours: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
-
-    def cost(self, a: str, b: str) -> int:
-        return self.edges[(a, b)]
 
     def neighbours(self, node: str) -> tuple[str, ...]:
         return self.out_neighbours.get(node, ())
@@ -371,26 +359,12 @@ def _express_excluded(network: TransitNetwork) -> set[tuple[str, str]]:
 def build_relaxed_graph(network: TransitNetwork) -> RelaxedGraph:
     """Collapse the timetable to a directed graph of minimal leg durations."""
     excluded = _express_excluded(network)
-    candidates: dict[tuple[str, str], list[tuple[int, int, str, str, int]]] = {}
-    for conn in network.connections:
-        pair = (conn.from_stop, conn.to_stop)
-        if pair in excluded:
-            continue
-        candidates.setdefault(pair, []).append(
-            (conn.duration, 0, conn.service_id, conn.run_id, conn.seq)
-        )
-    for link in network.walking_links:
-        pair = (link.from_stop, link.to_stop)
-        if pair in excluded:
-            continue
-        candidates.setdefault(pair, []).append((link.duration, 1, "", "", 0))
-
-    edges: dict[tuple[str, str], int] = {}
-    backing: dict[tuple[str, str], tuple] = {}
-    for pair in sorted(candidates):
-        duration, kind, service_id, run_id, seq = min(candidates[pair])
-        edges[pair] = duration
-        backing[pair] = ("walk",) if kind else ("service", service_id, run_id, seq)
+    shortest: dict[tuple[str, str], int] = {}
+    for leg in (*network.connections, *network.walking_links):
+        pair = (leg.from_stop, leg.to_stop)
+        if pair not in excluded:
+            shortest[pair] = min(leg.duration, shortest.get(pair, leg.duration))
+    edges = {pair: shortest[pair] for pair in sorted(shortest)}
 
     out: dict[str, list[str]] = {}
     for a, b in edges:
@@ -399,6 +373,5 @@ def build_relaxed_graph(network: TransitNetwork) -> RelaxedGraph:
     return RelaxedGraph(
         nodes=frozenset(network.stops),
         edges=edges,
-        backing=backing,
         out_neighbours=out_neighbours,
     )

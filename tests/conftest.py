@@ -12,7 +12,7 @@ SIX_STOP_STOPS = [
     "F,Zeta,55.50,-3.00,rail",
 ]
 
-# A->B has two backing runs (50 and 60 min); C..F is served by a stopping run
+# A->B has two runs (50 and 60 min); C..F is served by a stopping run
 # whose leg durations 45/70/30 are reused by the shared-cost fixtures
 SIX_STOP_TIMETABLE = [
     "service_id,run_id,seq,from_stop,to_stop,departure_min,duration_min",
@@ -28,16 +28,13 @@ def graph_of(edges: dict[tuple[str, str], int], extra_nodes: set[str] = frozense
     """Build a relaxed graph directly from an edge-cost mapping."""
     nodes = set(extra_nodes)
     out: dict[str, list[str]] = {}
-    backing = {}
     for (a, b), cost in edges.items():
         assert cost > 0
         nodes.update((a, b))
         out.setdefault(a, []).append(b)
-        backing[(a, b)] = ("service", "SV", "R", 1)
     return RelaxedGraph(
         nodes=frozenset(nodes),
         edges=dict(edges),
-        backing=backing,
         out_neighbours={a: tuple(sorted(bs)) for a, bs in out.items()},
     )
 

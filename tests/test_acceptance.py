@@ -12,7 +12,6 @@ import time
 import pytest
 
 from journeyshare.best_response import (
-    SharedCostModel,
     agent_cost,
     best_response_step,
     merge_plans,
@@ -36,7 +35,6 @@ from oracle_utils import (
     random_scheduling_instance,
 )
 
-MODEL = SharedCostModel()
 EPS = 1e-9
 
 
@@ -70,10 +68,10 @@ def test_criterion_1_cost_formula_exactness():
     for c in (1.0, 37.0, 100.0, 612.5):
         for n in range(1, 101):
             reference = (1.0 / n * 0.8 + 0.2) * c  # the discount formula, verbatim
-            worst = max(worst, abs(shared_cost(MODEL, c, n) - reference))
-            assert shared_cost(MODEL, c, n) / c > 0.2
-    two = abs(shared_cost(MODEL, 100.0, 2) - 0.6 * 100.0)
-    saving3 = 1.0 - shared_cost(MODEL, 100.0, 3) / 100.0
+            worst = max(worst, abs(shared_cost(c, n) - reference))
+            assert shared_cost(c, n) / c > 0.2
+    two = abs(shared_cost(100.0, 2) - 0.6 * 100.0)
+    saving3 = 1.0 - shared_cost(100.0, 3) / 100.0
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-12 and two <= 1e-12 and abs(saving3 - 8.0 / 15.0) <= 1e-12 and elapsed < 1.0
     report(1, ok, f"formula max dev {worst:.2e}, n=2 dev {two:.2e}, n=3 saving {saving3:.4%}, {elapsed:.2f}s")
@@ -111,24 +109,24 @@ def test_criterion_3_best_response_correctness():
         graphs_checked += 1
         joint = merge_plans(plans)
         for plan in plans:
-            step = best_response_step(joint, plan.agent, graph, MODEL)
+            step = best_response_step(joint, plan.agent, graph)
             oracle = brute_force_best_path(
                 edges,
                 plan.legs[0][0],
                 plan.legs[-1][1],
-                occupancy_cost(joint, plan.agent, MODEL, graph),
+                occupancy_cost(joint, plan.agent, graph),
             )
             assert step.total_cost == oracle[0], "step cost differs from exhaustive enumeration"
             steps_checked += 1
         potentials = []
         converged = run_br_phase(
-            plans, graph, MODEL, on_step=lambda j: potentials.append(rosenthal_potential(j, MODEL, graph))
+            plans, graph, on_step=lambda j: potentials.append(rosenthal_potential(j, graph))
         )
         for before, after in zip(potentials, potentials[1:]):
             assert after <= before + EPS, "potential increased across a recorded step"
         for agent in converged.per_agent:
-            retry = best_response_step(converged, agent, graph, MODEL)
-            assert agent_cost(converged, agent, MODEL, graph) - retry.total_cost < EPS, "Nash certificate failed"
+            retry = best_response_step(converged, agent, graph)
+            assert agent_cost(converged, agent, graph) - retry.total_cost < EPS, "Nash certificate failed"
     elapsed = time.perf_counter() - started
     ok = elapsed < 60.0
     report(3, ok, f"{graphs_checked} graphs, {steps_checked} BR steps vs oracle, Nash + potential hold, {elapsed:.1f}s")

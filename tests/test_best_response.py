@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from journeyshare.best_response import (
+    FLOOR_SHARE,
     JointPlan,
-    SharedCostModel,
     agent_cost,
     best_response_step,
     merge_plans,
@@ -14,7 +14,6 @@ from journeyshare.best_response import (
     rosenthal_potential,
     run_br_phase,
     shared_cost,
-    total_cost,
 )
 from journeyshare.errors import InputError
 from journeyshare.planning import AgentRequest, Plan, plan_individual
@@ -22,7 +21,6 @@ from journeyshare.planning import AgentRequest, Plan, plan_individual
 from conftest import graph_of
 from oracle_utils import brute_force_best_path, random_digraph
 
-MODEL = SharedCostModel()
 
 
 def path_plan(agent, stops, graph) -> Plan:
@@ -36,35 +34,29 @@ CORRIDOR = graph_of({("C", "D"): 45, ("D", "E"): 70, ("E", "F"): 30})
 
 class TestSharedCost:
     def test_single_traveller_pays_full(self):
-        assert shared_cost(MODEL, 100.0, 1) == pytest.approx(100.0)
+        assert shared_cost(100.0, 1) == pytest.approx(100.0)
 
     def test_two_travellers_pay_sixty_percent(self):
-        assert shared_cost(MODEL, 100.0, 2) == pytest.approx(60.0)
+        assert shared_cost(100.0, 2) == pytest.approx(60.0)
 
     def test_three_travellers_save_53_percent(self):
-        cost = shared_cost(MODEL, 100.0, 3)
+        cost = shared_cost(100.0, 3)
         assert cost == pytest.approx(100.0 * (0.8 / 3 + 0.2))
         assert 1 - cost / 100.0 == pytest.approx(0.5333, abs=5e-5)
 
     def test_floor_share_never_undercut(self):
         for n in range(1, 200):
-            assert shared_cost(MODEL, 100.0, n) > 20.0
+            assert shared_cost(100.0, n) > 20.0
 
     def test_zero_group_size_rejected(self):
         with pytest.raises(InputError):
-            shared_cost(MODEL, 100.0, 0)
-
-    def test_bad_model_shares_rejected(self):
-        with pytest.raises(InputError):
-            SharedCostModel(discount_share=0.9, floor_share=0.2)
-        with pytest.raises(InputError):
-            SharedCostModel(discount_share=1.0, floor_share=0.0)
+            shared_cost(100.0, 0)
 
     @settings(max_examples=50, deadline=None)
     @given(c=st.floats(0, 1e6), n=st.integers(1, 1000))
     def test_decreasing_in_group_size_with_floor(self, c, n):
-        assert shared_cost(MODEL, c, n + 1) <= shared_cost(MODEL, c, n)
-        assert shared_cost(MODEL, c, n) >= MODEL.floor_share * c
+        assert shared_cost(c, n + 1) <= shared_cost(c, n)
+        assert shared_cost(c, n) >= FLOOR_SHARE * c
 
 
 class TestMergePlans:
@@ -115,26 +107,26 @@ class TestAgentCost:
     def test_sole_agent_equals_plan_cost(self):
         p1 = path_plan(1, ("C", "D", "E", "F"), CORRIDOR)
         joint = merge_plans([p1])
-        assert agent_cost(joint, 1, MODEL, CORRIDOR) == pytest.approx(p1.total_cost)
+        assert agent_cost(joint, 1, CORRIDOR) == pytest.approx(p1.total_cost)
 
     def test_shared_leg_discounted(self):
         p1 = path_plan(1, ("C", "D", "E", "F"), CORRIDOR)
         p2 = path_plan(2, ("D", "E"), CORRIDOR)
         joint = merge_plans([p1, p2])
-        assert agent_cost(joint, 1, MODEL, CORRIDOR) == pytest.approx(45 + 0.6 * 70 + 30)
-        assert agent_cost(joint, 2, MODEL, CORRIDOR) == pytest.approx(0.6 * 70)
+        assert agent_cost(joint, 1, CORRIDOR) == pytest.approx(45 + 0.6 * 70 + 30)
+        assert agent_cost(joint, 2, CORRIDOR) == pytest.approx(0.6 * 70)
 
     def test_unknown_agent_raises(self):
         joint = merge_plans([path_plan(1, ("C", "D"), CORRIDOR)])
         with pytest.raises(InputError):
-            agent_cost(joint, 99, MODEL, CORRIDOR)
+            agent_cost(joint, 99, CORRIDOR)
 
 
 class TestBestResponseStep:
     def test_reduces_to_solo_plan_when_alone(self):
         graph = graph_of({("A", "B"): 10, ("B", "C"): 10, ("A", "C"): 30})
         joint = merge_plans([path_plan(1, ("A", "C"), graph)])
-        step = best_response_step(joint, 1, graph, MODEL)
+        step = best_response_step(joint, 1, graph)
         solo = plan_individual(graph, AgentRequest(1, "A", "C"))
         assert step.legs == solo.legs and step.total_cost == solo.total_cost
 
@@ -144,7 +136,7 @@ class TestBestResponseStep:
         p1 = path_plan(1, ("A", "K", "Z"), graph)
         p2 = path_plan(2, ("A", "M", "Z"), graph)
         joint = merge_plans([p1, p2])
-        step = best_response_step(joint, 1, graph, MODEL)
+        step = best_response_step(joint, 1, graph)
         assert step.stops() == ("A", "M", "Z")
         assert step.total_cost == pytest.approx(0.6 * 100)
 
@@ -163,24 +155,24 @@ class TestBestResponseStep:
                 continue
             joint = merge_plans(plans)
             agent = plans[rng.randrange(len(plans))].agent
-            step = best_response_step(joint, agent, graph, MODEL)
+            step = best_response_step(joint, agent, graph)
             current = joint.per_agent[agent]
             oracle = brute_force_best_path(
                 edges,
                 current.legs[0][0],
                 current.legs[-1][1],
-                occupancy_cost(joint, agent, MODEL, graph),
+                occupancy_cost(joint, agent, graph),
             )
             assert oracle is not None
             assert step.total_cost == pytest.approx(oracle[0], abs=1e-12)
-            assert step.total_cost <= agent_cost(joint, agent, MODEL, graph) + 1e-12
+            assert step.total_cost <= agent_cost(joint, agent, graph) + 1e-12
 
 
 class TestRunBrPhase:
     def test_single_agent_keeps_initial_plan(self):
         graph = graph_of({("A", "B"): 10, ("B", "C"): 10})
         initial = plan_individual(graph, AgentRequest(1, "A", "C"))
-        joint = run_br_phase([initial], graph, MODEL)
+        joint = run_br_phase([initial], graph)
         assert joint.per_agent[1].legs == initial.legs
 
     def test_overlapping_corridor_converges_to_shared_label(self):
@@ -191,7 +183,7 @@ class TestRunBrPhase:
         )
         p1 = path_plan(1, ("C", "D", "E", "F"), graph)
         p2 = path_plan(2, ("D", "X", "E"), graph)
-        joint = run_br_phase([p1, p2], graph, MODEL)
+        joint = run_br_phase([p1, p2], graph)
         assert joint.edges[("D", "E")] == frozenset({1, 2})
         assert joint.per_agent[1].stops() == ("C", "D", "E", "F")
         assert joint.per_agent[2].stops() == ("D", "E")
@@ -217,17 +209,17 @@ class TestRunBrPhase:
             tested += 1
             potentials = []
             joint = run_br_phase(
-                plans, graph, MODEL, on_step=lambda j: potentials.append(rosenthal_potential(j, MODEL, graph))
+                plans, graph, on_step=lambda j: potentials.append(rosenthal_potential(j, graph))
             )
             for before, after in zip(potentials, potentials[1:]):
                 assert after <= before + 1e-9
             # Nash certificate: no agent can improve by a meaningful amount
             for agent in joint.per_agent:
-                step = best_response_step(joint, agent, graph, MODEL)
-                assert agent_cost(joint, agent, MODEL, graph) - step.total_cost < 1e-9
+                step = best_response_step(joint, agent, graph)
+                assert agent_cost(joint, agent, graph) - step.total_cost < 1e-9
             # individual rationality against the initial plans
             for plan in plans:
-                assert agent_cost(joint, plan.agent, MODEL, graph) <= plan.total_cost
+                assert agent_cost(joint, plan.agent, graph) <= plan.total_cost
             # empirically few sweeps are needed: on_step fires once per agent per sweep
             assert len(potentials) <= 10 * len(plans)
         assert tested >= 60
@@ -246,33 +238,33 @@ class TestRunBrPhase:
                 plans.append(plan)
                 agent += 1
         steps = []
-        joint = run_br_phase(plans, graph, MODEL, on_step=lambda j: steps.append(None))
+        joint = run_br_phase(plans, graph, on_step=lambda j: steps.append(None))
         assert len(steps) <= 100 * 8
         for plan in plans:
-            assert agent_cost(joint, plan.agent, MODEL, graph) <= plan.total_cost
-            retry = best_response_step(joint, plan.agent, graph, MODEL)
-            assert agent_cost(joint, plan.agent, MODEL, graph) - retry.total_cost < 1e-9
+            assert agent_cost(joint, plan.agent, graph) <= plan.total_cost
+            retry = best_response_step(joint, plan.agent, graph)
+            assert agent_cost(joint, plan.agent, graph) - retry.total_cost < 1e-9
 
     def test_unreachable_agent_keeps_plan(self, caplog):
         # agent 1's plan uses an edge, but its origin loses all outgoing edges
         graph = graph_of({("B", "C"): 5}, extra_nodes={"A"})
         stale = Plan(agent=1, legs=(("A", "B"), ("B", "C")), total_cost=15.0)
         joint = merge_plans([stale])
-        step = best_response_step(joint, 1, graph, MODEL)
+        step = best_response_step(joint, 1, graph)
         assert step == stale
 
 
 class TestRosenthalPotential:
     def test_empty_joint_plan(self):
         joint = JointPlan(edges={}, per_agent={})
-        assert rosenthal_potential(joint, MODEL, CORRIDOR) == 0.0
+        assert rosenthal_potential(joint, CORRIDOR) == 0.0
 
     def test_two_agents_one_edge(self):
         graph = graph_of({("A", "B"): 100})
         joint = merge_plans(
             [path_plan(1, ("A", "B"), graph), path_plan(2, ("A", "B"), graph)]
         )
-        assert rosenthal_potential(joint, MODEL, graph) == pytest.approx(100 + 60)
+        assert rosenthal_potential(joint, graph) == pytest.approx(100 + 60)
 
     def test_improving_step_strictly_decreases_potential(self):
         rng = random.Random(41)
@@ -290,26 +282,19 @@ class TestRosenthalPotential:
                 continue
             joint = merge_plans(plans)
             for plan in plans:
-                step = best_response_step(joint, plan.agent, graph, MODEL)
-                gain = agent_cost(joint, plan.agent, MODEL, graph) - step.total_cost
+                step = best_response_step(joint, plan.agent, graph)
+                gain = agent_cost(joint, plan.agent, graph) - step.total_cost
                 if gain > 1e-9:
                     checked += 1
                     from journeyshare.best_response import _replace_plan
 
                     after = _replace_plan(joint, plan.agent, step)
-                    drop = rosenthal_potential(joint, MODEL, graph) - rosenthal_potential(after, MODEL, graph)
+                    drop = rosenthal_potential(joint, graph) - rosenthal_potential(after, graph)
                     assert drop == pytest.approx(gain, rel=1e-9, abs=1e-9)
         assert checked >= 20
 
 
 class TestTotalAndSerialization:
-    def test_total_cost_sums_agent_costs(self):
-        p1 = path_plan(1, ("C", "D", "E", "F"), CORRIDOR)
-        p2 = path_plan(2, ("D", "E"), CORRIDOR)
-        joint = merge_plans([p1, p2])
-        expected = agent_cost(joint, 1, MODEL, CORRIDOR) + agent_cost(joint, 2, MODEL, CORRIDOR)
-        assert total_cost(joint, MODEL, CORRIDOR) == pytest.approx(expected)
-
     def test_joint_plan_round_trips_to_dict(self):
         p1 = path_plan(1, ("C", "D", "E", "F"), CORRIDOR)
         p2 = path_plan(2, ("D", "E"), CORRIDOR)

@@ -1,6 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from journeyshare.cli import main
 from journeyshare.synth import SyntheticNetworkSpec, generate_synthetic_network
@@ -98,6 +102,33 @@ class TestPlanCommand:
         err = capsys.readouterr().err
         assert f"{requests}:3:" in err and "duplicate agent id '1'" in err
 
+    def test_origin_equals_destination_names_file_and_line(self, grid_dir, tmp_path, capsys):
+        requests = tmp_path / "requests.csv"
+        write_requests(requests, ["a1,S0105,S0100", "a2,S0104,S0104"])
+        code = main(
+            [
+                "plan",
+                "--stops", str(grid_dir / "stops.csv"),
+                "--timetable", str(grid_dir / "timetable.csv"),
+                "--requests", str(requests),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{requests}:3:" in err and "origin equals destination" in err
+
+    def test_requests_path_is_a_directory(self, grid_dir, tmp_path, capsys):
+        code = main(
+            [
+                "plan",
+                "--stops", str(grid_dir / "stops.csv"),
+                "--timetable", str(grid_dir / "timetable.csv"),
+                "--requests", str(tmp_path),
+            ]
+        )
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_config_file_honoured(self, grid_dir, tmp_path):
         cfg = tmp_path / "engine.cfg"
         cfg.write_text("walk.max_km=0.9\nwalk.speed_kmh=4\nsched.limit.small_s=10\n")
@@ -180,3 +211,38 @@ class TestExperimentAndValidate:
     def test_validate_missing_file(self, tmp_path):
         code = main(["validate", "--results", str(tmp_path / "absent.csv")])
         assert code == 1
+
+
+# per matrix key, a small pool of valid and invalid values on a 4x6 grid
+FUZZ_CELL = st.fixed_dictionaries(
+    {
+        "network": st.just({"synthetic": {"width": 4, "height": 6, "spacing_km": 10.0, "headway_min": 120, "leg_min": 15}}),
+        # always given, since the default of 10 seeds per direction would make an example slow
+        "seeds_per_direction": st.sampled_from([0, 1, "a", -1, 1.5, True]),
+    },
+    optional={
+        "scenario": st.sampled_from(["fuzz", "", 7]),
+        "agents": st.sampled_from([[2], [1, 3], [4], [], [0], [-2], 2, ["x"], [2.5], [True]]),
+        "directions": st.sampled_from([["NS"], ["WE", "SN"], [], "NS", ["UP"]]),
+        "base_seed": st.sampled_from([0, 7, "s"]),
+        "min_km": st.sampled_from([0.0, 15.0, 200.0, -1.0, "x"]),
+        "max_km": st.sampled_from([10.0, 160.0, 300.0, None]),
+        "engine": st.sampled_from(
+            [{}, {"walk_max_km": 0.9}, {"walk_max_km": "x"}, {"walk_max_km": -1.0}, {"walk_pace": 1}, {"sched_limit_small_s": 0.0}]
+        ),
+    },
+)
+
+
+class TestExperimentFuzz:
+    @settings(max_examples=40, deadline=None)
+    @given(matrix=st.one_of(FUZZ_CELL, st.lists(st.one_of(FUZZ_CELL, st.sampled_from([1, "cell", None])), max_size=2)))
+    def test_experiment_exits_cleanly_and_its_output_validates(self, matrix):
+        with tempfile.TemporaryDirectory() as tmp:
+            matrix_path = Path(tmp) / "matrix.json"
+            matrix_path.write_text(json.dumps(matrix))
+            out = Path(tmp) / "out"
+            code = main(["experiment", "--matrix", str(matrix_path), "--out", str(out)])
+            assert code in (0, 1)
+            if code == 0:
+                assert main(["validate", "--results", str(out / "results.csv")]) == 0

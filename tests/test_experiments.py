@@ -4,10 +4,8 @@ import pytest
 
 from journeyshare.errors import ConsistencyError, InputError, ParseError, ScenarioError
 from journeyshare.experiments import (
-    ScenarioConfig,
     admissible_pairs,
     default_matrix,
-    generate_requests,
     quadrant_axes,
     quadrant_of,
     run_batch,
@@ -121,21 +119,16 @@ class TestQuadrants:
 
 class TestGenerateRequests:
     def test_seed_determinism_and_prefix_property(self, grid_network):
-        cfg2 = ScenarioConfig(scenario="g", n_agents=2, direction="NS", seed=11)
-        cfg4 = ScenarioConfig(scenario="g", n_agents=4, direction="NS", seed=11)
-        r2a = generate_requests(grid_network, cfg2)
-        r2b = generate_requests(grid_network, cfg2)
-        r4 = generate_requests(grid_network, cfg4)
+        pairs = admissible_pairs(grid_network, "NS")
+        r2a = sample_requests(pairs, 2, seed=11)
+        r2b = sample_requests(pairs, 2, seed=11)
+        r4 = sample_requests(pairs, 4, seed=11)
         assert r2a == r2b
         assert r4[:2] == [AgentRequest(r.agent, r.origin, r.destination) for r in r2a]
 
-    def test_odd_agent_count_rejected(self):
+    def test_unknown_direction_rejected(self, grid_network):
         with pytest.raises(InputError):
-            ScenarioConfig(scenario="g", n_agents=3, direction="NS")
-
-    def test_unknown_direction_rejected(self):
-        with pytest.raises(InputError):
-            ScenarioConfig(scenario="g", n_agents=2, direction="UP")
+            admissible_pairs(grid_network, "UP")
 
 
 class TestRunPipeline:
@@ -315,6 +308,46 @@ class TestRunBatch:
         bad["engine"] = {"walk_pace": 1.0}
         with pytest.raises(InputError, match="engine"):
             run_batch(bad)
+
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            ("agents", [0], "agents"),
+            ("agents", [-2], "agents"),
+            ("agents", 2, "agents"),
+            ("agents", ["x"], "agents"),
+            ("agents", [2.5], "agents"),
+            ("agents", [True], "agents"),
+            ("seeds_per_direction", "a", "seeds_per_direction"),
+            ("seeds_per_direction", -1, "seeds_per_direction"),
+            ("directions", "NS", "directions"),
+            ("directions", ["UP"], "directions"),
+            ("engine", {"walk_max_km": "x"}, "engine"),
+            ("min_km", -1.0, "min_km"),
+            ("min_km", 160.0, "max_km"),
+            ("max_km", "far", "max_km"),
+        ],
+    )
+    def test_bad_cell_setting_names_cell_scenario_and_key(self, key, value, named):
+        runs_nothing = {**tiny_matrix(), "seeds_per_direction": 0}
+        bad = {**tiny_matrix(), key: value}
+        with pytest.raises(InputError, match=rf"matrix cell 1 \(scenario 't'\): {named} must be"):
+            run_batch([runs_nothing, bad])
+
+    def test_non_object_cell_rejected(self):
+        with pytest.raises(InputError, match="matrix cell 0: expected a JSON object"):
+            run_batch([1])
+
+    def test_failed_experiments_write_rows_that_validate(self, tmp_path):
+        out = tmp_path / "results.csv"
+        # no stop pair of the 4x6 grid lies 200-300 km apart, so every experiment fails
+        results = run_batch({**tiny_matrix(), "min_km": 200.0, "max_km": 300.0}, out)
+        assert results and all(r.errors for r in results)
+        assert validate_results_file(out) == len(results)
+        with open(out) as fh:
+            for record in csv.DictReader(fh):
+                assert record["t_initial_s"] == record["t_br_s"] == record["t_schedule_s"] == "0.000000000"
+                assert float(record["t_total_s"]) >= 0.0
 
     def test_end_to_end_revalidation_of_matched_groups(self, grid_network):
         # every matched group's itineraries satisfy the scheduler invariants

@@ -193,7 +193,6 @@ class TestWalkingLinks:
 class TestRelaxedGraph:
     def test_six_stop_min_cost_edge(self, six_stop_graph):
         assert six_stop_graph.edges[("A", "B")] == 50
-        assert six_stop_graph.backing[("A", "B")] == ("service", "SV1", "SV1a", 1)
 
     def test_six_stop_stopping_run_edges(self, six_stop_graph):
         assert six_stop_graph.edges[("C", "D")] == 45
@@ -223,7 +222,6 @@ class TestRelaxedGraph:
         net = add_walking_links(_two_stop_network(0.4))
         graph = build_relaxed_graph(net)
         assert graph.edges[("P", "Q")] == 5
-        assert graph.backing[("P", "Q")] == ("walk",)
 
     def test_edge_cost_is_min_over_backing(self):
         rng = random.Random(99)
