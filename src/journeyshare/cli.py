@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import logging
 import sys
 from pathlib import Path
 
 from .config import EngineConfig, load_config
-from .errors import ConsistencyError, InputError, JourneyShareError, ParseError
+from .errors import ConsistencyError, InputError, JourneyShareError, ParseError, read_text
 from .experiments import load_matrix, run_batch, run_pipeline, validate_results_file
 from .grouping import group_to_dict
 from .metrics import write_results_csv
@@ -31,7 +32,7 @@ logger = logging.getLogger(__name__)
 
 
 def load_requests(path: str | Path) -> list[AgentRequest]:
-    with open(path, encoding="utf-8") as fh:
+    with io.StringIO(read_text(path)) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [c.strip() for c in header] != ["agent", "origin", "destination"]:
@@ -58,7 +59,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     network = load_network(args.stops, args.timetable)
     requests = load_requests(args.requests)
     config = load_config(args.config) if args.config else EngineConfig()
-    artifacts = run_pipeline(network, requests, config=config, parallel=args.parallel)
+    artifacts = run_pipeline(network, requests, config=config)
     result = artifacts.result
 
     out = Path(args.out) if args.out else None
@@ -75,8 +76,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         (out / "groups.json").write_text(json.dumps(groups_doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         itineraries = {
             str(agent): itin.to_dict()
-            for group_itins in artifacts.group_itineraries.values()
-            for agent, itin in sorted(group_itins.items())
+            for sched in artifacts.group_schedules.values()
+            for agent, itin in sorted(sched.itineraries.items())
         }
         (out / "itineraries.json").write_text(
             json.dumps(itineraries, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -149,13 +150,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--requests", required=True, help="requests csv (agent,origin,destination)")
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--out", help="directory for JSON/CSV outputs")
-    p.add_argument("--parallel", type=int, default=None, help="worker threads")
     p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser("experiment", help="run a batch matrix")
     p.add_argument("--matrix", required=True, help="matrix JSON file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--parallel", type=int, default=None, help="worker threads")
+    p.add_argument("--parallel", type=int, default=None, help="accepted and ignored: experiments run one after another")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("synth", help="generate a synthetic grid network")

@@ -12,10 +12,11 @@ comments and blank lines ignored.  Recognised keys:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ParseError
+from .errors import ParseError, read_text
 
 
 @dataclass(frozen=True)
@@ -53,9 +54,10 @@ def parse_config_text(text: str, source: str = "<config>") -> EngineConfig:
             values[field_name] = conv(value.strip())
         except ValueError as exc:
             raise ParseError(f"{source}:{lineno}: bad value for {key}: {value.strip()!r}") from exc
+        if not math.isfinite(values[field_name]):
+            raise ParseError(f"{source}:{lineno}: {key} must be a finite number, got {value.strip()!r}")
     return EngineConfig(**values)
 
 
 def load_config(path: str | Path) -> EngineConfig:
-    path = Path(path)
-    return parse_config_text(path.read_text(encoding="utf-8"), source=str(path))
+    return parse_config_text(read_text(path), source=str(path))

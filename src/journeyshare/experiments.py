@@ -10,32 +10,24 @@ from the timing columns.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import math
 import random
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
 from .best_response import JointPlan, agent_cost, run_br_phase
 from .config import EngineConfig
-from .errors import ConsistencyError, InputError, JourneyShareError, ParseError, ScenarioError
+from .errors import ConsistencyError, InputError, JourneyShareError, ParseError, ScenarioError, read_text
 from .grouping import Group, Part, identify_groups, relevant_timetable, split_into_parts
 from .metrics import ExperimentResult, GroupRecord, cost_improvement, prolongation, write_results_csv
 from .planning import AgentId, AgentRequest, Plan, plan_individual
-from .scheduling import (
-    Itinerary,
-    ScheduleResult,
-    SoloScheduleResult,
-    agent_itineraries,
-    schedule_group,
-    schedule_single_agent,
-    time_limit_for,
-)
+from .scheduling import ScheduleResult, schedule_group, schedule_single_agent, time_limit_for
 from .synth import SyntheticNetworkSpec, build_synthetic_network
 from .transit import RelaxedGraph, TransitNetwork, add_walking_links, build_relaxed_graph, haversine_km, load_network
 
@@ -139,16 +131,7 @@ class PipelineArtifacts:
     groups: list[Group] = field(default_factory=list)
     parts: dict[int, list[Part]] = field(default_factory=dict)
     group_schedules: dict[int, ScheduleResult] = field(default_factory=dict)
-    group_itineraries: dict[int, dict[AgentId, Itinerary]] = field(default_factory=dict)
-    solo: dict[AgentId, SoloScheduleResult] = field(default_factory=dict)
-
-
-def _map_ordered(fn, items, workers: int | None):
-    """Apply fn to items, optionally in a thread pool; results keep item order."""
-    if workers is None or workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    solo: dict[AgentId, ScheduleResult] = field(default_factory=dict)
 
 
 def run_pipeline(
@@ -158,7 +141,6 @@ def run_pipeline(
     scenario: str = "adhoc",
     direction: str = "",
     seed: int = 0,
-    parallel: int | None = None,
     prepared: tuple[TransitNetwork, RelaxedGraph] | None = None,
 ) -> PipelineArtifacts:
     """Run the three phases for one request set and collect all metrics.
@@ -179,17 +161,16 @@ def run_pipeline(
     prepared_network, graph = prepared
 
     t0 = time.perf_counter()
-    plans = _map_ordered(lambda req: plan_individual(graph, req), list(requests), parallel)
-    result.timings["initial"] = time.perf_counter() - t0
-
     initial: dict[AgentId, Plan] = {}
-    for request, plan in zip(requests, plans):
+    for request in requests:
+        plan = plan_individual(graph, request)
         if plan is None:
             result.unreachable_agents.append(request.agent)
         else:
             initial[request.agent] = plan
             result.initial_costs[request.agent] = plan.total_cost
     artifacts.initial_plans = initial
+    result.timings["initial"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     if initial:
@@ -205,55 +186,30 @@ def run_pipeline(
 
     t0 = time.perf_counter()
     if artifacts.joint is not None:
+        solo_limit = time_limit_for(1, config)
+        for agent in sorted(initial):
+            artifacts.solo[agent] = schedule_single_agent(initial[agent], prepared_network, solo_limit)
         artifacts.groups = identify_groups(artifacts.joint)
-
-        def schedule_one(group: Group) -> tuple[int, list[Part] | None, ScheduleResult, str | None]:
+        for group in artifacts.groups:
             try:
                 parts = split_into_parts(group)
                 tt = relevant_timetable(parts, prepared_network, group_id=group.id)
-                limit = time_limit_for(len(group.agents), config)
-                return group.id, parts, schedule_group(parts, tt, limit), None
+                sched = schedule_group(parts, tt, time_limit_for(len(group.agents), config))
+                artifacts.parts[group.id] = parts
             except JourneyShareError as exc:
-                return group.id, None, ScheduleResult(schedule=None), f"group {group.id}: {exc}"
-
-        group_outcomes = _map_ordered(schedule_one, artifacts.groups, parallel)
-
-        solo_limit = time_limit_for(1, config)
-        agents = sorted(initial)
-        solo_results = _map_ordered(
-            lambda agent: schedule_single_agent(initial[agent], prepared_network, solo_limit),
-            agents,
-            parallel,
-        )
-        artifacts.solo = dict(zip(agents, solo_results))
-
-        for group, (group_id, parts, sched, error) in zip(artifacts.groups, group_outcomes):
-            if error is not None:
-                result.errors.append(error)
-            if parts is not None:
-                artifacts.parts[group_id] = parts
-            artifacts.group_schedules[group_id] = sched
-            group_durations: dict[AgentId, int] = {}
-            solo_durations: dict[AgentId, int] = {}
-            delta_t = None
-            if sched.schedule is not None and parts is not None:
-                itins = agent_itineraries(parts, sched.schedule)
-                artifacts.group_itineraries[group_id] = itins
-                group_durations = {a: itin.duration for a, itin in sorted(itins.items())}
-                solo_itins = {a: artifacts.solo[a].itinerary for a in itins}
-                solo_durations = {
-                    a: itin.duration for a, itin in sorted(solo_itins.items()) if itin is not None
-                }
-                delta_t = prolongation(itins, solo_itins)
+                result.errors.append(f"group {group.id}: {exc}")
+                sched = ScheduleResult(schedule=None)
+            artifacts.group_schedules[group.id] = sched
+            solo_itins = {a: artifacts.solo[a].itineraries.get(a) for a in sched.itineraries}
             result.groups.append(
                 GroupRecord(
-                    group_id=group_id,
+                    group_id=group.id,
                     size=len(group.agents),
-                    matched=sched.schedule is not None,
+                    matched=sched.feasible,
                     timed_out=sched.timed_out,
-                    group_durations=group_durations,
-                    solo_durations=solo_durations,
-                    delta_t=delta_t,
+                    group_durations={a: itin.duration for a, itin in sched.itineraries.items()},
+                    solo_durations={a: itin.duration for a, itin in solo_itins.items() if itin is not None},
+                    delta_t=prolongation(sched.itineraries, solo_itins) if sched.feasible else None,
                 )
             )
     result.timings["schedule"] = time.perf_counter() - t0
@@ -261,16 +217,16 @@ def run_pipeline(
     return artifacts
 
 
-def _load_cell_network(source: dict) -> TransitNetwork:
+def _load_cell_network(source: dict, where: str) -> TransitNetwork:
     if "synthetic" in source:
         try:
             spec = SyntheticNetworkSpec(**source["synthetic"])
-        except TypeError as exc:
-            raise InputError(f"bad synthetic network settings: {exc}") from exc
+        except (TypeError, InputError) as exc:
+            raise InputError(f"{where}: bad network.synthetic settings: {exc}") from exc
         return build_synthetic_network(spec)
     if "stops" in source and "timetable" in source:
         return load_network(source["stops"], source["timetable"])
-    raise InputError("cell network must give either 'synthetic' or 'stops'+'timetable'")
+    raise InputError(f"{where}: network must give either 'synthetic' or 'stops'+'timetable'")
 
 
 def default_matrix(
@@ -304,11 +260,10 @@ def default_matrix(
 
 
 def load_matrix(path: str | Path) -> list[dict]:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}:{exc.lineno}: malformed JSON: {exc.msg}") from exc
+    try:
+        data = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}:{exc.lineno}: malformed JSON: {exc.msg}") from exc
     return data if isinstance(data, list) else [data]
 
 
@@ -318,6 +273,19 @@ def _is_int(value) -> bool:
 
 def _is_number(value) -> bool:
     return _is_int(value) or isinstance(value, float)
+
+
+def _is_finite(value) -> bool:
+    return _is_number(value) and math.isfinite(value)
+
+
+# the rule for each network.synthetic key, by the type SyntheticNetworkSpec gives it
+_TYPE_RULES = {
+    "int": ("an integer", _is_int),
+    "float": ("a finite number", _is_finite),
+    "str": ("a string", lambda v: isinstance(v, str)),
+}
+_SYNTHETIC_RULES = {f.name: _TYPE_RULES[f.type] for f in fields(SyntheticNetworkSpec)}
 
 
 def _cell_settings(cell, cell_index: int) -> dict:
@@ -343,10 +311,7 @@ def _cell_settings(cell, cell_index: int) -> dict:
     rules = {
         "scenario": ("a string", lambda v: isinstance(v, str)),
         "network": ("an object", lambda v: isinstance(v, dict)),
-        "engine": (
-            "an object of finite numbers",
-            lambda v: isinstance(v, dict) and all(_is_number(x) and math.isfinite(x) for x in v.values()),
-        ),
+        "engine": ("an object of finite numbers", lambda v: isinstance(v, dict) and all(map(_is_finite, v.values()))),
         "agents": ("a list of integers >= 1", lambda v: isinstance(v, list) and all(_is_int(n) and n >= 1 for n in v)),
         "directions": (
             f"a list drawn from {list(DIRECTIONS)}",
@@ -357,12 +322,24 @@ def _cell_settings(cell, cell_index: int) -> dict:
         "min_km": ("a number >= 0", lambda v: _is_number(v) and v >= 0),
         "max_km": ("a number above min_km", lambda v: _is_number(v) and v > settings["min_km"]),
     }
-    for key, (rule, holds) in rules.items():
-        if not holds(settings[key]):
+
+    def require(key: str, value, rule: str, holds) -> None:
+        if not holds(value):
             raise InputError(
-                f"matrix cell {cell_index} (scenario {settings['scenario']!r}): "
-                f"{key} must be {rule}, got {settings[key]!r}"
+                f"matrix cell {cell_index} (scenario {settings['scenario']!r}): {key} must be {rule}, got {value!r}"
             )
+
+    for key, (rule, holds) in rules.items():
+        require(key, settings[key], rule, holds)
+    network = settings["network"]
+    if "synthetic" in network:
+        require("network.synthetic", network["synthetic"], "an object", lambda v: isinstance(v, dict))
+        for key, value in network["synthetic"].items():
+            if key in _SYNTHETIC_RULES:
+                require(f"network.synthetic.{key}", value, *_SYNTHETIC_RULES[key])
+    for key in ("stops", "timetable"):
+        if key in network:
+            require(f"network.{key}", network[key], "a path string", lambda v: isinstance(v, str))
     return settings
 
 
@@ -373,18 +350,23 @@ def run_batch(
 ) -> list[ExperimentResult]:
     """Run every cell of the matrix; optionally write results.csv.
 
-    Raises InputError for a cell whose settings break a rule of _cell_settings.
+    Experiments run one after another.  `parallel` is accepted for existing
+    callers and ignored: threads do not speed up this pure-Python work under
+    the GIL, and perfbench's tracer, which wraps run_pipeline, keeps one span
+    stack that calls from two threads corrupt.  Raises InputError for a cell
+    whose settings break a rule of _cell_settings.
     """
     cells = matrix if isinstance(matrix, list) else [matrix]
     results: list[ExperimentResult] = []
     for cell_index, cell in enumerate(cells):
         settings = _cell_settings(cell, cell_index)
         scenario = settings["scenario"]
-        network = _load_cell_network(settings["network"])
+        where = f"matrix cell {cell_index} (scenario {scenario!r})"
+        network = _load_cell_network(settings["network"], where)
         try:
             config = EngineConfig(**settings["engine"])
         except TypeError as exc:
-            raise InputError(f"matrix cell {cell_index} (scenario {scenario!r}): bad engine settings: {exc}") from exc
+            raise InputError(f"{where}: bad engine settings: {exc}") from exc
         prepared = prepare_network(network, config)
         for di, direction in enumerate(settings["directions"]):
             pairs = admissible_pairs(network, direction, settings["min_km"], settings["max_km"])
@@ -401,7 +383,6 @@ def run_batch(
                             scenario=scenario,
                             direction=direction,
                             seed=seed,
-                            parallel=parallel,
                             prepared=prepared,
                         )
                         results.append(artifacts.result)
@@ -433,7 +414,7 @@ def validate_results_file(path: str | Path) -> int:
     """Re-check row-level invariants of a results.csv; returns the row count."""
     from .metrics import RESULTS_COLUMNS
 
-    with open(path, encoding="utf-8") as fh:
+    with io.StringIO(read_text(path)) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != RESULTS_COLUMNS:
@@ -454,8 +435,10 @@ def validate_results_file(path: str | Path) -> int:
             if not is_summary:
                 if record["matched"] not in ("0", "1") or record["timed_out"] not in ("0", "1"):
                     raise ConsistencyError(f"{path}:{lineno}: matched/timed_out must be  0 or 1")
-                if record["delta_t"] and record["matched"] != "1":
-                    raise ConsistencyError(f"{path}:{lineno}: delta_t present on unmatched group")
+                if record["delta_t"]:
+                    if record["matched"] != "1":
+                        raise ConsistencyError(f"{path}:{lineno}: delta_t present on unmatched group")
+                    _number(record, "delta_t", where)
                 if _number(record, "group_size", where, int) < 1:
                     raise ConsistencyError(f"{path}:{lineno}: group_size must be >= 1")
             for col in ("t_initial_s", "t_br_s", "t_schedule_s", "t_total_s"):

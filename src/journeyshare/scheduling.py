@@ -14,7 +14,7 @@ touching any downstream board time.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .config import EngineConfig
@@ -91,24 +91,16 @@ class Itinerary:
 
 @dataclass(frozen=True)
 class ScheduleResult:
-    """Outcome of scheduling a group: a schedule, or why there is none."""
+    """Outcome of scheduling a group or a solo traveller: a schedule with
+    each member's itinerary, or why there is none."""
 
     schedule: GroupSchedule | None
     timed_out: bool = False
+    itineraries: Mapping[AgentId, Itinerary] = field(default_factory=dict)
 
     @property
     def feasible(self) -> bool:
         return self.schedule is not None
-
-
-@dataclass(frozen=True)
-class SoloScheduleResult:
-    itinerary: Itinerary | None
-    timed_out: bool = False
-
-    @property
-    def feasible(self) -> bool:
-        return self.itinerary is not None
 
 
 class SchedulingTimeout(Exception):
@@ -351,26 +343,16 @@ def schedule_group(
     except SchedulingTimeout:
         return ScheduleResult(schedule=None, timed_out=True)
 
-    for agent, chain in chains.items():
-        depart = schedules[chain[0]].depart
-        arrive = schedules[chain[-1]].arrive
-        if arrive - depart > DAY_MINUTES:
-            return ScheduleResult(schedule=None)
-    return ScheduleResult(schedule=GroupSchedule(group_id=tt.group_id, part_schedules=schedules))
-
-
-def agent_itineraries(parts: list[Part], schedule: GroupSchedule) -> dict[AgentId, Itinerary]:
-    """Per-agent itineraries: each agent's part schedules concatenated."""
-    chains = _agent_chains(parts)
+    # each agent's itinerary is its part schedules concatenated
     itineraries: dict[AgentId, Itinerary] = {}
     for agent, chain in chains.items():
-        legs: list[LegAssignment] = []
-        for pid in chain:
-            legs.extend(schedule.part_schedules[pid].legs)
-        itineraries[agent] = Itinerary(
-            agent=agent, legs=tuple(legs), depart=legs[0].board, arrive=legs[-1].alight
-        )
-    return itineraries
+        legs = tuple(leg for pid in chain for leg in schedules[pid].legs)
+        if legs[-1].alight - legs[0].board > DAY_MINUTES:
+            return ScheduleResult(schedule=None)
+        itineraries[agent] = Itinerary(agent=agent, legs=legs, depart=legs[0].board, arrive=legs[-1].alight)
+    return ScheduleResult(
+        schedule=GroupSchedule(group_id=tt.group_id, part_schedules=schedules), itineraries=itineraries
+    )
 
 
 def plan_as_single_part(plan: Plan) -> Part:
@@ -386,15 +368,10 @@ def plan_as_single_part(plan: Plan) -> Part:
 
 def schedule_single_agent(
     plan: Plan, network: TransitNetwork, time_limit_s: float | None = None
-) -> SoloScheduleResult:
+) -> ScheduleResult:
     """Timetable one traveller's plan in isolation (the prolongation baseline)."""
     part = plan_as_single_part(plan)
-    tt = relevant_timetable([part], network, group_id=-1)
-    result = schedule_group([part], tt, time_limit_s)
-    if result.schedule is None:
-        return SoloScheduleResult(itinerary=None, timed_out=result.timed_out)
-    itinerary = agent_itineraries([part], result.schedule)[plan.agent]
-    return SoloScheduleResult(itinerary=itinerary)
+    return schedule_group([part], relevant_timetable([part], network, group_id=-1), time_limit_s)
 
 
 def time_limit_for(group_size: int, config: EngineConfig = EngineConfig()) -> float:

@@ -17,7 +17,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .errors import ParseError, ReferentialError, ValidationError
+from .errors import ParseError, ReferentialError, ValidationError, read_text
 
 EARTH_RADIUS_KM = 6371.0
 DAY_MINUTES = 1440
@@ -159,7 +159,7 @@ def haversine_km(a: tuple[float, float], b: tuple[float, float]) -> float:
 def _open_csv(source: str | Path | Iterable[str]) -> tuple[Iterable[str], str]:
     if isinstance(source, (str, Path)):
         path = Path(source)
-        return path.read_text(encoding="utf-8").splitlines(), str(path)
+        return read_text(path).splitlines(), str(path)
     return source, "<timetable>"
 
 

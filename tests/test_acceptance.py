@@ -24,7 +24,7 @@ from journeyshare.experiments import default_matrix, run_batch
 from journeyshare.grouping import identify_groups, split_into_parts
 from journeyshare.metrics import RESULTS_COLUMNS, success_rates
 from journeyshare.planning import AgentRequest, Plan, plan_individual
-from journeyshare.scheduling import agent_itineraries, schedule_group, time_limit_for
+from journeyshare.scheduling import schedule_group, time_limit_for
 from journeyshare.transit import DAY_MINUTES
 
 from conftest import graph_of
@@ -199,7 +199,7 @@ def test_criterion_6_scheduler_oracle():
             continue
         assert result.feasible, "scheduler missed a feasible schedule"
         feasible += 1
-        itins = agent_itineraries(parts, result.schedule)
+        itins = result.itineraries
         assert {a: i.duration for a, i in itins.items()} == oracle, "total duration differs from exhaustive search"
         assert sum(i.duration for i in itins.values()) == sum(oracle.values())
         for part in parts:

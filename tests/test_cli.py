@@ -162,6 +162,41 @@ class TestPlanCommand:
         assert code == 1
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_config_value_names_file_and_line(self, grid_dir, tmp_path, capsys, value):
+        cfg = tmp_path / "engine.cfg"
+        cfg.write_text(f"walk.speed_kmh=4\nwalk.max_km={value}\n")
+        requests = tmp_path / "requests.csv"
+        write_requests(requests, ["a1,S0105,S0100"])
+        code = main(
+            [
+                "plan",
+                "--stops", str(grid_dir / "stops.csv"),
+                "--timetable", str(grid_dir / "timetable.csv"),
+                "--requests", str(requests),
+                "--config", str(cfg),
+            ]
+        )
+        assert code == 1
+        assert f"{cfg}:2: walk.max_km must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["stops", "timetable", "requests", "config"])
+    def test_non_utf8_input_names_file_and_line(self, grid_dir, tmp_path, capsys, target):
+        paths = {
+            "stops": grid_dir / "stops.csv",
+            "timetable": grid_dir / "timetable.csv",
+            "requests": tmp_path / "requests.csv",
+            "config": tmp_path / "engine.cfg",
+        }
+        write_requests(paths["requests"], ["a1,S0105,S0100"])
+        paths["config"].write_text("walk.max_km=0.5\n")
+        first_line = paths[target].read_bytes().split(b"\n")[0]
+        paths[target].write_bytes(first_line + b"\n\xff\xfe\n")
+        code = main(["plan", *(arg for key, path in paths.items() for arg in (f"--{key}", str(path)))])
+        assert code == 1
+        assert f"{paths[target]}:2: not valid UTF-8" in capsys.readouterr().err
+
+
 class TestExperimentAndValidate:
     def test_experiment_then_validate(self, tmp_path, capsys):
         matrix = {
@@ -208,6 +243,22 @@ class TestExperimentAndValidate:
         assert code == 1
         assert f"{bad}:2: non-numeric t_br_s 'fast'" in capsys.readouterr().err
 
+    def test_non_utf8_matrix_names_file_and_line(self, tmp_path, capsys):
+        matrix_path = tmp_path / "matrix.json"
+        matrix_path.write_bytes(b'{\n  "scenario": "caf\xe9"\n}\n')
+        code = main(["experiment", "--matrix", str(matrix_path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert f"{matrix_path}:2: not valid UTF-8" in capsys.readouterr().err
+
+    def test_non_utf8_results_names_file_and_line(self, tmp_path, capsys):
+        from journeyshare.metrics import RESULTS_COLUMNS
+
+        bad = tmp_path / "results.csv"
+        bad.write_bytes(",".join(RESULTS_COLUMNS).encode() + b"\ns\x80,2,NS,1,0.5,,,,,,0.1,0.1,0.1,0.3\n")
+        code = main(["validate", "--results", str(bad)])
+        assert code == 1
+        assert f"{bad}:2: not valid UTF-8" in capsys.readouterr().err
+
     def test_validate_missing_file(self, tmp_path):
         code = main(["validate", "--results", str(tmp_path / "absent.csv")])
         assert code == 1
@@ -246,3 +297,54 @@ class TestExperimentFuzz:
             assert code in (0, 1)
             if code == 0:
                 assert main(["validate", "--results", str(out / "results.csv")]) == 0
+
+
+# small valid inputs for plan and validate; a fuzz example keeps a prefix of
+# one file's lines and appends arbitrary bytes
+VALID_INPUTS = {
+    "stops": "stop_id,name,lat,lon,mode\nA,Alpha,55.0,-3.0,rail\nB,Beta,55.1,-3.0,rail\nC,Gamma,55.1004,-3.0,coach\n",
+    "timetable": (
+        "service_id,run_id,seq,from_stop,to_stop,departure_min,duration_min\n"
+        "S1,R1,1,A,B,60,10\nS1,R1,2,B,C,75,10\nS2,R2,1,A,B,90,12\n"
+    ),
+    "requests": "agent,origin,destination\n1,A,C\n2,A,B\n3,B,C\n",
+    "config": "walk.max_km=0.5\nwalk.speed_kmh=5\nsched.limit.small_s=10\n",
+    "results": (
+        "scenario,n_agents,direction,seed,delta_c,group_id,group_size,matched,timed_out,delta_t,"
+        "t_initial_s,t_br_s,t_schedule_s,t_total_s\n"
+        "s,2,NS,1,0.4,,,,,,0.1,0.1,0.1,0.3\ns,2,NS,1,0.4,0,2,1,0,0.25,0.1,0.1,0.1,0.3\n"
+    ),
+}
+FUZZ_TAIL = st.one_of(st.binary(max_size=40), st.text(max_size=40).map(str.encode))
+
+
+def fuzzed(target: str, keep: int, tail: bytes) -> bytes:
+    lines = VALID_INPUTS[target].encode().splitlines(keepends=True)
+    return b"".join(lines[:keep]) + tail
+
+
+class TestPlanAndValidateFuzz:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        target=st.sampled_from(["stops", "timetable", "requests", "config"]),
+        keep=st.integers(0, 4),
+        tail=FUZZ_TAIL,
+    )
+    def test_plan_exits_cleanly(self, target, keep, tail):
+        with tempfile.TemporaryDirectory() as tmp:
+            args = ["plan"]
+            for name, text in VALID_INPUTS.items():
+                if name == "results":
+                    continue
+                path = Path(tmp) / name
+                path.write_bytes(fuzzed(name, keep, tail) if name == target else text.encode())
+                args += [f"--{name}", str(path)]
+            assert main(args) in (0, 1, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(keep=st.integers(0, 3), tail=FUZZ_TAIL)
+    def test_validate_exits_cleanly(self, keep, tail):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "results.csv"
+            path.write_bytes(fuzzed("results", keep, tail))
+            assert main(["validate", "--results", str(path)]) in (0, 1, 2)

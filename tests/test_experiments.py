@@ -199,7 +199,7 @@ class TestRunPipeline:
         result = artifacts.result
         assert not result.unreachable_agents
         assert result.groups[0].matched
-        itin = artifacts.group_itineraries[0][1]
+        itin = artifacts.group_schedules[0].itineraries[1]
         modes = [leg.mode for leg in itin.legs]
         assert modes == ["service", "walk", "service"]
         assert itin.legs[1].from_stop == "C" and itin.legs[1].to_stop == "D"
@@ -208,18 +208,6 @@ class TestRunPipeline:
         requests = [AgentRequest(1, "S0105", "S0100"), AgentRequest(1, "S0104", "S0101")]
         with pytest.raises(InputError, match="duplicate agent id 1"):
             run_pipeline(grid_network, requests)
-
-    def test_parallel_output_identical(self, grid_network):
-        requests = [
-            AgentRequest(agent=a, origin=f"S0{c}07", destination=f"S0{c}00")
-            for a, c in ((1, 0), (2, 1), (3, 2), (4, 3))
-        ]
-        serial = run_pipeline(grid_network, requests, parallel=None)
-        threaded = run_pipeline(grid_network, requests, parallel=4)
-        assert serial.result.delta_c == threaded.result.delta_c
-        assert [g.__dict__ for g in serial.result.groups] == [g.__dict__ for g in threaded.result.groups]
-        assert serial.result.initial_costs == threaded.result.initial_costs
-        assert serial.result.shared_costs == threaded.result.shared_costs
 
 
 def tiny_matrix(tmp_path=None):
@@ -326,6 +314,8 @@ class TestRunBatch:
             ("min_km", -1.0, "min_km"),
             ("min_km", 160.0, "max_km"),
             ("max_km", "far", "max_km"),
+            ("network", {"synthetic": {"width": 4.5, "height": 6}}, "network.synthetic.width"),
+            ("network", {"stops": 5, "timetable": 6}, "network.stops"),
         ],
     )
     def test_bad_cell_setting_names_cell_scenario_and_key(self, key, value, named):
@@ -362,7 +352,7 @@ class TestRunBatch:
             for record in artifacts.result.groups:
                 if not record.matched:
                     continue
-                itins = artifacts.group_itineraries[record.group_id]
+                itins = artifacts.group_schedules[record.group_id].itineraries
                 parts = artifacts.parts[record.group_id]
                 schedule = artifacts.group_schedules[record.group_id].schedule
                 for part in parts:
@@ -407,6 +397,7 @@ class TestValidateResults:
             ("s,2,NS,1,high,,,,,,0.1,0.1,0.1,0.3", "non-numeric delta_c 'high'"),
             ("s,2,NS,1,0.5,0,two,1,0,0.1,0.1,0.1,0.1,0.3", "non-numeric group_size 'two'"),
             ("s,2,NS", "expected 14 fields, got 3"),
+            ("s,2,NS,1,0.5,0,2,1,0,abc,0.1,0.1,0.1,0.3", "non-numeric delta_t 'abc'"),
         ],
     )
     def test_malformed_row_is_parse_error(self, tmp_path, row, message):

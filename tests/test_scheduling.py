@@ -10,7 +10,6 @@ from journeyshare.planning import Plan
 from journeyshare.scheduling import (
     MODE_SERVICE,
     MODE_WALK,
-    agent_itineraries,
     earliest_arrival_in_part,
     plan_as_single_part,
     schedule_group,
@@ -181,7 +180,7 @@ class TestScheduleGroup:
         )
         result = schedule_group(parts, tt)
         assert result.feasible
-        itins = agent_itineraries(parts, result.schedule)
+        itins = result.itineraries
         # agent 1 rides the later A->C run instead of waiting from minute 0
         assert itins[1].depart == 80
         assert itins[1].arrive == 210
@@ -205,7 +204,8 @@ class TestScheduleGroup:
 
 
 class TestFeasibilityInvariants:
-    def assert_schedule_invariants(self, parts, schedule):
+    def assert_schedule_invariants(self, parts, result):
+        schedule = result.schedule
         for part in parts:
             sched = schedule.part_schedules[part.id]
             for leg in sched.legs:
@@ -213,7 +213,18 @@ class TestFeasibilityInvariants:
             for a, b in zip(sched.legs, sched.legs[1:]):
                 assert b.board >= a.alight
                 assert b.from_stop == a.to_stop
-        itins = agent_itineraries(parts, schedule)
+        itins = result.itineraries
+        by_id = {p.id: p for p in parts}
+        assert sorted(itins) == sorted({a for p in parts for a in p.agents})
+        for agent, itin in itins.items():
+            # the itinerary is the agent's chain of part schedules, concatenated
+            chain_legs = []
+            pid = next(p.id for p in parts if agent in p.agents and p.prev[agent] is None)
+            while pid is not None:
+                chain_legs.extend(schedule.part_schedules[pid].legs)
+                pid = by_id[pid].next[agent]
+            assert itin.legs == tuple(chain_legs)
+            assert (itin.depart, itin.arrive) == (chain_legs[0].board, chain_legs[-1].alight)
         for itin in itins.values():
             assert itin.duration <= DAY_MINUTES
             assert itin.duration >= sum(l.alight - l.board for l in itin.legs) - sum(
@@ -236,11 +247,11 @@ class TestFeasibilityInvariants:
                 continue
             assert result.feasible, f"trial {trial}: oracle feasible but scheduler failed"
             feasible_seen += 1
-            itins = agent_itineraries(parts, result.schedule)
+            itins = result.itineraries
             durations = {a: itin.duration for a, itin in itins.items()}
             assert durations == oracle, f"trial {trial}"
             depart, arrive = oracle_schedule(parts, tt)
-            self.assert_schedule_invariants(parts, result.schedule)
+            self.assert_schedule_invariants(parts, result)
         assert feasible_seen >= 30
 
     def test_group_duration_never_beats_optimal_solo(self):
@@ -254,7 +265,7 @@ class TestFeasibilityInvariants:
             result = schedule_group(parts, tt)
             if not result.feasible:
                 continue
-            itins = agent_itineraries(parts, result.schedule)
+            itins = result.itineraries
             by_id = {p.id: p for p in parts}
             for agent, itin in itins.items():
                 head = next(p for p in parts if agent in p.agents and p.prev[agent] is None)
@@ -286,11 +297,11 @@ class TestScheduleSingleAgent:
         plan = path_plan(1, ("P", "Q", "R"))
         result = schedule_single_agent(plan, net)
         assert result.feasible
-        assert all(l.mode == MODE_WALK for l in result.itinerary.legs)
+        assert all(l.mode == MODE_WALK for l in result.itineraries[plan.agent].legs)
         walk_minutes = {
             (l.from_stop, l.to_stop): l.duration for l in net.walking_links
         }
-        assert result.itinerary.duration == walk_minutes[("P", "Q")] + walk_minutes[("Q", "R")]
+        assert result.itineraries[plan.agent].duration == walk_minutes[("P", "Q")] + walk_minutes[("Q", "R")]
 
     def test_stopping_plan_boards_direct_train(self):
         stops = [
@@ -311,8 +322,8 @@ class TestScheduleSingleAgent:
         plan = path_plan(7, ("C", "D", "E", "F"))
         result = schedule_single_agent(plan, net)
         assert result.feasible
-        assert [l.run_id for l in result.itinerary.legs] == ["T1a"]
-        assert result.itinerary.duration == 80
+        assert [l.run_id for l in result.itineraries[plan.agent].legs] == ["T1a"]
+        assert result.itineraries[plan.agent].duration == 80
 
     def test_dense_fixture_matches_oracle(self):
         rng = random.Random(71)
@@ -337,7 +348,7 @@ class TestScheduleSingleAgent:
                 assert not result.feasible
             else:
                 assert result.feasible
-                assert result.itinerary.duration == oracle[1]
+                assert result.itineraries[plan.agent].duration == oracle[1]
 
 
 class TestTimeLimits:
