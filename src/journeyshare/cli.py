@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 input error, 2 internal invariant violation.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import logging
@@ -20,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .config import EngineConfig, load_config
-from .errors import ConsistencyError, InputError, JourneyShareError, ParseError, read_text
+from .errors import ConsistencyError, InputError, JourneyShareError, ParseError, csv_rows, read_text
 from .experiments import load_matrix, run_batch, run_pipeline, validate_results_file
 from .grouping import group_to_dict
 from .metrics import write_results_csv
@@ -33,7 +32,7 @@ logger = logging.getLogger(__name__)
 
 def load_requests(path: str | Path) -> list[AgentRequest]:
     with io.StringIO(read_text(path)) as fh:
-        reader = csv.reader(fh)
+        reader = csv_rows(fh, str(path))
         header = next(reader, None)
         if header is None or [c.strip() for c in header] != ["agent", "origin", "destination"]:
             raise ParseError(f"{path}:1: expected header 'agent,origin,destination'")

@@ -3,10 +3,12 @@
 Everything raised on purpose derives from JourneyShareError so the CLI can
 map input problems to exit code 1 and internal invariant violations to 2.
 read_text is the one reader of input files, so that undecodable bytes are a
-ParseError too.
+ParseError too, and csv_rows the one CSV parser, so that malformed CSV is one.
 """
 
+import csv
 from pathlib import Path
+from typing import Iterable, Iterator
 
 
 class JourneyShareError(Exception):
@@ -50,3 +52,16 @@ def read_text(path: str | Path) -> str:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"{path}:{line}: not valid UTF-8 ({exc.reason})") from None
     return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def csv_rows(lines: Iterable[str], name: str) -> Iterator[list[str]]:
+    """The rows of csv.reader(lines).
+
+    Raises ParseError naming name and the line at which the csv module gave
+    up, e.g. on a field over its size limit.
+    """
+    reader = csv.reader(lines)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(f"{name}:{reader.line_num}: {exc}") from None

@@ -9,7 +9,6 @@ from the timing columns.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import logging
@@ -23,7 +22,7 @@ from typing import Sequence
 
 from .best_response import JointPlan, agent_cost, run_br_phase
 from .config import EngineConfig
-from .errors import ConsistencyError, InputError, JourneyShareError, ParseError, ScenarioError, read_text
+from .errors import ConsistencyError, InputError, JourneyShareError, ParseError, ScenarioError, csv_rows, read_text
 from .grouping import Group, Part, identify_groups, relevant_timetable, split_into_parts
 from .metrics import ExperimentResult, GroupRecord, cost_improvement, prolongation, write_results_csv
 from .planning import AgentId, AgentRequest, Plan, plan_individual
@@ -223,7 +222,10 @@ def _load_cell_network(source: dict, where: str) -> TransitNetwork:
             spec = SyntheticNetworkSpec(**source["synthetic"])
         except (TypeError, InputError) as exc:
             raise InputError(f"{where}: bad network.synthetic settings: {exc}") from exc
-        return build_synthetic_network(spec)
+        try:
+            return build_synthetic_network(spec)
+        except JourneyShareError as exc:
+            raise InputError(f"{where}: network.synthetic gives a bad grid: {exc}") from exc
     if "stops" in source and "timetable" in source:
         return load_network(source["stops"], source["timetable"])
     raise InputError(f"{where}: network must give either 'synthetic' or 'stops'+'timetable'")
@@ -415,7 +417,7 @@ def validate_results_file(path: str | Path) -> int:
     from .metrics import RESULTS_COLUMNS
 
     with io.StringIO(read_text(path)) as fh:
-        reader = csv.reader(fh)
+        reader = csv_rows(fh, str(path))
         header = next(reader, None)
         if header != RESULTS_COLUMNS:
             raise InputError(f"{path}: unexpected header {header}")

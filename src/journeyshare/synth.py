@@ -1,9 +1,9 @@
 """Synthetic grid networks for desk-scale experiments.
 
 Stops form a W x H grid; every row and every column carries a line served in
-both directions at a fixed headway inside a service window.  The generated
-files use the standard stops/timetable CSV formats, so they reload through
-load_network.
+both directions at a fixed headway inside a service window.  Grids are built
+directly as network objects; generate_synthetic_network writes them with
+save_network, so the files reload through load_network.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import InputError
-from .transit import DAY_MINUTES, TransitNetwork, load_network
+from .errors import InputError, ValidationError
+from .transit import DAY_MINUTES, Stop, TimetabledConnection, TransitNetwork, make_network, save_network
 
 KM_PER_DEG_LAT = 111.1949
 BASE_LAT = 50.0
@@ -74,56 +74,55 @@ def expected_run_count(spec: SyntheticNetworkSpec) -> int:
     return count
 
 
-def synthetic_rows(spec: SyntheticNetworkSpec) -> tuple[list[str], list[str]]:
-    """CSV rows (including headers) for the stops and timetable files."""
+def build_synthetic_network(spec: SyntheticNetworkSpec) -> TransitNetwork:
+    """The grid of the spec as network objects; raises ValidationError when
+    Stop's checks reject a stop or two grid cells share a stop id."""
     dlat = spec.spacing_km / KM_PER_DEG_LAT
     dlon = spec.spacing_km / (KM_PER_DEG_LAT * math.cos(math.radians(BASE_LAT)))
-    stop_rows = ["stop_id,name,lat,lon,mode"]
+    stops: dict[str, Stop] = {}
     for col in range(spec.width):
         for row in range(spec.height):
             lat = BASE_LAT + row * dlat
             lon = BASE_LON + col * dlon
-            stop_rows.append(f"{stop_id(col, row)},Grid c{col} r{row},{lat!r},{lon!r},{spec.mode}")
+            stop = Stop(stop_id(col, row), f"Grid c{col} r{row}", lat, lon, spec.mode)
+            if stop.id in stops:
+                raise ValidationError(f"grid cells {stops[stop.id].name!r} and {stop.name!r} share stop id {stop.id}")
+            stops[stop.id] = stop
 
-    tt_rows = ["service_id,run_id,seq,from_stop,to_stop,departure_min,duration_min"]
+    connections: list[TimetabledConnection] = []
 
-    def emit_line(service: str, stops: list[str], line_index: int) -> None:
-        for dep in _departures(spec, len(stops), line_index):
+    def emit_line(service: str, line_stops: list[str], line_index: int) -> None:
+        for dep in _departures(spec, len(line_stops), line_index):
             run = f"{service}T{dep:04d}"
-            for k in range(len(stops) - 1):
+            for k in range(len(line_stops) - 1):
                 departure = dep + k * spec.leg_min
-                tt_rows.append(
-                    f"{service},{run},{k + 1},{stops[k]},{stops[k + 1]},{departure},{spec.leg_min}"
+                connections.append(
+                    TimetabledConnection(service, run, k + 1, line_stops[k], line_stops[k + 1], departure, spec.leg_min)
                 )
 
     line_index = 0
     if spec.height >= 2:
         for col in range(spec.width):
-            stops = [stop_id(col, row) for row in range(spec.height)]
-            emit_line(f"V{col:02d}A", stops, line_index)
-            emit_line(f"V{col:02d}B", stops[::-1], line_index)
+            line_stops = [stop_id(col, row) for row in range(spec.height)]
+            emit_line(f"V{col:02d}A", line_stops, line_index)
+            emit_line(f"V{col:02d}B", line_stops[::-1], line_index)
             line_index += 1
     if spec.width >= 2:
         for row in range(spec.height):
-            stops = [stop_id(col, row) for col in range(spec.width)]
-            emit_line(f"H{row:02d}A", stops, line_index)
-            emit_line(f"H{row:02d}B", stops[::-1], line_index)
+            line_stops = [stop_id(col, row) for col in range(spec.width)]
+            emit_line(f"H{row:02d}A", line_stops, line_index)
+            emit_line(f"H{row:02d}B", line_stops[::-1], line_index)
             line_index += 1
-    return stop_rows, tt_rows
-
-
-def build_synthetic_network(spec: SyntheticNetworkSpec) -> TransitNetwork:
-    stop_rows, tt_rows = synthetic_rows(spec)
-    return load_network(stop_rows, tt_rows)
+    return make_network(stops, connections)
 
 
 def generate_synthetic_network(spec: SyntheticNetworkSpec, out_dir: str | Path) -> tuple[Path, Path]:
-    """Write stops.csv / timetable.csv for the grid and return their paths."""
+    """Write stops.csv / timetable.csv for the grid and return their paths;
+    a grid that fails a check writes nothing."""
+    network = build_synthetic_network(spec)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stop_rows, tt_rows = synthetic_rows(spec)
     stops_path = out_dir / "stops.csv"
     timetable_path = out_dir / "timetable.csv"
-    stops_path.write_text("\n".join(stop_rows) + "\n", encoding="utf-8")
-    timetable_path.write_text("\n".join(tt_rows) + "\n", encoding="utf-8")
+    save_network(network, stops_path, timetable_path)
     return stops_path, timetable_path

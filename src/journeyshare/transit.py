@@ -17,7 +17,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .errors import ParseError, ReferentialError, ValidationError, read_text
+from .errors import ParseError, ReferentialError, ValidationError, csv_rows, read_text
 
 EARTH_RADIUS_KM = 6371.0
 DAY_MINUTES = 1440
@@ -170,7 +170,7 @@ def _check_header(row: list[str], expected: list[str], name: str) -> None:
 
 def load_stops(source: str | Path | Iterable[str]) -> dict[str, Stop]:
     lines, name = _open_csv(source)
-    reader = csv.reader(lines)
+    reader = csv_rows(lines, name)
     stops: dict[str, Stop] = {}
     for lineno, row in enumerate(reader, start=1):
         if lineno == 1:
@@ -193,12 +193,11 @@ def load_stops(source: str | Path | Iterable[str]) -> dict[str, Stop]:
     return stops
 
 
-def _validate_runs(connections: Iterable[TimetabledConnection]) -> None:
-    by_run: dict[str, list[TimetabledConnection]] = {}
-    for conn in connections:
-        by_run.setdefault(conn.run_id, []).append(conn)
-    for run_id, legs in by_run.items():
-        legs.sort(key=lambda c: c.seq)
+def make_network(stops: Mapping[str, Stop], connections: Iterable[TimetabledConnection]) -> TransitNetwork:
+    """The network, connections ordered by (service_id, run_id, seq); ValidationError on a broken run."""
+    connections = tuple(sorted(connections, key=lambda c: (c.service_id, c.run_id, c.seq)))
+    network = TransitNetwork(stops=stops, connections=connections)
+    for run_id, legs in network.runs().items():
         services = {c.service_id for c in legs}
         if len(services) > 1:
             raise ValidationError(f"run {run_id} spans services {sorted(services)}")
@@ -214,6 +213,7 @@ def _validate_runs(connections: Iterable[TimetabledConnection]) -> None:
                 raise ValidationError(
                     f"run {run_id} seq {nxt.seq}: departs at {nxt.departure} before arrival of previous leg"
                 )
+    return network
 
 
 def load_network(
@@ -228,7 +228,7 @@ def load_network(
     """
     stops = load_stops(stops_source)
     lines, name = _open_csv(timetable_source)
-    reader = csv.reader(lines)
+    reader = csv_rows(lines, name)
     rows: dict[tuple[str, int], TimetabledConnection] = {}
     for lineno, row in enumerate(reader, start=1):
         if lineno == 1:
@@ -251,24 +251,22 @@ def load_network(
             if stop_id not in stops:
                 raise ReferentialError(f"{name}:{lineno}: unknown stop {stop_id!r}")
         rows[(conn.run_id, conn.seq)] = conn
-    connections = tuple(sorted(rows.values(), key=lambda c: (c.service_id, c.run_id, c.seq)))
-    _validate_runs(connections)
-    return TransitNetwork(stops=stops, connections=connections)
+    return make_network(stops, rows.values())
 
 
 def save_network(network: TransitNetwork, stops_path: str | Path, timetable_path: str | Path) -> None:
-    """Write a network back to the two CSV formats accepted by load_network.
+    """Write a network to the two CSV formats accepted by load_network.
 
     Walking links are derived data and are not serialized; re-add them with
     add_walking_links after reloading.
     """
     with open(stops_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(STOPS_HEADER)
         for stop in sorted(network.stops.values(), key=lambda s: s.id):
             writer.writerow([stop.id, stop.name, repr(stop.lat), repr(stop.lon), stop.mode])
     with open(timetable_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TIMETABLE_HEADER)
         for conn in network.connections:
             writer.writerow(

@@ -28,6 +28,14 @@ class TestSynthCommand:
         assert (tmp_path / "g" / "stops.csv").exists()
         assert (tmp_path / "g" / "timetable.csv").exists()
 
+    def test_grid_the_stop_checks_reject_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "g"
+        args = ["--grid", "3x3", "--headway", "30", "--leg", "10", "--spacing-km", "6000", "--out", str(out)]
+        code = main(["synth", *args])
+        assert code == 1
+        assert "latitude" in capsys.readouterr().err
+        assert not (out / "stops.csv").exists()
+
     def test_bad_grid_argument(self, tmp_path, capsys):
         code = main(["synth", "--grid", "5by5", "--headway", "30", "--leg", "10", "--out", str(tmp_path)])
         assert code == 1
@@ -195,6 +203,20 @@ class TestPlanCommand:
         code = main(["plan", *(arg for key, path in paths.items() for arg in (f"--{key}", str(path)))])
         assert code == 1
         assert f"{paths[target]}:2: not valid UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["stops", "timetable", "requests"])
+    def test_oversized_field_names_file_and_line(self, grid_dir, tmp_path, capsys, target):
+        paths = {
+            "stops": grid_dir / "stops.csv",
+            "timetable": grid_dir / "timetable.csv",
+            "requests": tmp_path / "requests.csv",
+        }
+        write_requests(paths["requests"], ["a1,S0105,S0100"])
+        first_line = paths[target].read_text().split("\n")[0]
+        paths[target].write_text(first_line + "\n" + "x" * 200_000 + "\n")
+        code = main(["plan", *(arg for key, path in paths.items() for arg in (f"--{key}", str(path)))])
+        assert code == 1
+        assert f"{paths[target]}:2: field larger than field limit" in capsys.readouterr().err
 
 
 class TestExperimentAndValidate:

@@ -2,8 +2,9 @@ import csv
 
 import pytest
 
-from journeyshare.errors import ConsistencyError, InputError, ParseError, ScenarioError
+from journeyshare.errors import ConsistencyError, InputError, ParseError, ScenarioError, ValidationError
 from journeyshare.experiments import (
+    DEFAULT_SYNTH_SPEC,
     admissible_pairs,
     default_matrix,
     quadrant_axes,
@@ -48,12 +49,28 @@ class TestSyntheticNetwork:
         assert len(net.stops) == 2
         assert {(c.from_stop, c.to_stop) for c in net.connections} == {("S0000", "S0001"), ("S0001", "S0000")}
 
-    def test_round_trip_through_files(self, tmp_path):
-        stops_path, timetable_path = generate_synthetic_network(GRID, tmp_path)
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GRID,
+            DEFAULT_SYNTH_SPEC,
+            SyntheticNetworkSpec(width=1, height=2, headway_min=120, leg_min=15),
+            SyntheticNetworkSpec(width=5, height=3, headway_min=45, leg_min=12),
+        ],
+        ids=["grid", "default", "corridor", "5x3"],
+    )
+    def test_round_trip_through_files(self, tmp_path, spec):
+        stops_path, timetable_path = generate_synthetic_network(spec, tmp_path)
         reloaded = load_network(stops_path, timetable_path)
-        direct = build_synthetic_network(GRID)
+        direct = build_synthetic_network(spec)
         assert reloaded.stops == dict(direct.stops)
         assert reloaded.connections == direct.connections
+
+    def test_repeated_stop_id_rejected(self):
+        # S{col:02d}{row:02d} gives S10100 for column 10, row 100 and for column 101, row 0
+        spec = SyntheticNetworkSpec(width=102, height=101, headway_min=1440, leg_min=10)
+        with pytest.raises(ValidationError, match="'Grid c10 r100' and 'Grid c101 r0' share stop id S10100"):
+            build_synthetic_network(spec)
 
     def test_service_window_respected(self):
         spec = SyntheticNetworkSpec(width=2, height=2, headway_min=60, leg_min=10, first_departure=360, last_arrival=720)
@@ -324,6 +341,21 @@ class TestRunBatch:
         with pytest.raises(InputError, match=rf"matrix cell 1 \(scenario 't'\): {named} must be"):
             run_batch([runs_nothing, bad])
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"mode": "bus"}, "stop S0000: unknown mode 'bus'"),
+            ({"spacing_km": 6000.0}, "stop S0001: latitude .* out of range"),
+        ],
+        ids=["mode", "spacing"],
+    )
+    def test_grid_the_stop_checks_reject_names_the_cell(self, setting, message):
+        runs_nothing = {**tiny_matrix(), "seeds_per_direction": 0}
+        bad = tiny_matrix()
+        bad["network"]["synthetic"].update(setting)
+        with pytest.raises(InputError, match=rf"matrix cell 1 \(scenario 't'\): network\.synthetic .*: {message}"):
+            run_batch([runs_nothing, bad])
+
     def test_non_object_cell_rejected(self):
         with pytest.raises(InputError, match="matrix cell 0: expected a JSON object"):
             run_batch([1])
@@ -398,6 +430,7 @@ class TestValidateResults:
             ("s,2,NS,1,0.5,0,two,1,0,0.1,0.1,0.1,0.1,0.3", "non-numeric group_size 'two'"),
             ("s,2,NS", "expected 14 fields, got 3"),
             ("s,2,NS,1,0.5,0,2,1,0,abc,0.1,0.1,0.1,0.3", "non-numeric delta_t 'abc'"),
+            pytest.param("s," + "x" * 200_000, "field larger than field limit", id="oversized-field"),
         ],
     )
     def test_malformed_row_is_parse_error(self, tmp_path, row, message):
