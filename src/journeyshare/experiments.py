@@ -192,7 +192,7 @@ def run_pipeline(
         for group in artifacts.groups:
             try:
                 parts = split_into_parts(group)
-                tt = relevant_timetable(parts, prepared_network, group_id=group.id)
+                tt = relevant_timetable(parts, prepared_network)
                 sched = schedule_group(parts, tt, time_limit_for(len(group.agents), config))
                 artifacts.parts[group.id] = parts
             except JourneyShareError as exc:
@@ -437,6 +437,8 @@ def validate_results_file(path: str | Path) -> int:
             if not is_summary:
                 if record["matched"] not in ("0", "1") or record["timed_out"] not in ("0", "1"):
                     raise ConsistencyError(f"{path}:{lineno}: matched/timed_out must be  0 or 1")
+                if record["matched"] == "1" and record["timed_out"] == "1":
+                    raise ConsistencyError(f"{path}:{lineno}: timed-out group marked matched")
                 if record["delta_t"]:
                     if record["matched"] != "1":
                         raise ConsistencyError(f"{path}:{lineno}: delta_t present on unmatched group")

@@ -47,15 +47,6 @@ class Part:
         return tuple(zip(self.stops, self.stops[1:]))
 
 
-@dataclass(frozen=True)
-class RelevantTimetable:
-    """Timetable slice a group's scheduling is allowed to use."""
-
-    group_id: int
-    connections: tuple[TimetabledConnection, ...]
-    walks: frozenset[WalkingLink] = frozenset()
-
-
 def identify_groups(joint: JointPlan) -> list[Group]:
     """Split the joint plan into weakly-connected components.
 
@@ -172,9 +163,10 @@ def part_precedence(parts: list[Part]) -> list[int]:
     return topo
 
 
-def relevant_timetable(parts: list[Part], network: TransitNetwork, group_id: int = 0) -> RelevantTimetable:
-    """Timetabled legs linking two stops of one part in travel direction,
-    plus walking links between consecutive part stops.
+def relevant_timetable(parts: list[Part], network: TransitNetwork) -> TransitNetwork:
+    """The network slice a group's scheduling may use: timetabled legs linking
+    two stops of one part in travel direction, plus walking links between
+    consecutive part stops, connections in (service_id, run_id, seq) order.
 
     Reads the network's per-stop index, so the cost is the number of
     departures from the parts' stops, not parts times network size.
@@ -198,7 +190,7 @@ def relevant_timetable(parts: list[Part], network: TransitNetwork, group_id: int
             walks.update(stop_index.walks.get(pair, ()))
 
     connections.sort(key=lambda c: (c.service_id, c.run_id, c.seq))
-    return RelevantTimetable(group_id=group_id, connections=tuple(connections), walks=frozenset(walks))
+    return TransitNetwork(stops=network.stops, connections=tuple(connections), walking_links=frozenset(walks))
 
 
 def group_to_dict(group: Group, parts: list[Part]) -> dict:

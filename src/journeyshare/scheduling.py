@@ -19,7 +19,7 @@ from typing import Mapping
 
 from .config import EngineConfig
 from .errors import ConsistencyError, InputError
-from .grouping import Part, RelevantTimetable, part_precedence, relevant_timetable
+from .grouping import Part, part_precedence, relevant_timetable
 from .planning import AgentId, Plan
 from .transit import DAY_MINUTES, TransitNetwork
 
@@ -54,12 +54,6 @@ class PartSchedule:
 
 
 @dataclass(frozen=True)
-class GroupSchedule:
-    group_id: int
-    part_schedules: Mapping[int, PartSchedule]
-
-
-@dataclass(frozen=True)
 class Itinerary:
     agent: AgentId
     legs: tuple[LegAssignment, ...]
@@ -91,10 +85,11 @@ class Itinerary:
 
 @dataclass(frozen=True)
 class ScheduleResult:
-    """Outcome of scheduling a group or a solo traveller: a schedule with
-    each member's itinerary, or why there is none."""
+    """Outcome of scheduling a group or a solo traveller: each part's
+    schedule, keyed by part id, with each member's itinerary, or why there
+    is none."""
 
-    schedule: GroupSchedule | None
+    schedule: Mapping[int, PartSchedule] | None
     timed_out: bool = False
     itineraries: Mapping[AgentId, Itinerary] = field(default_factory=dict)
 
@@ -116,122 +111,95 @@ class _Deadline:
             raise SchedulingTimeout
 
 
-@dataclass(frozen=True)
-class _Move:
-    """One admissible hop inside a part, keyed by stop index."""
-
-    to_index: int
-    mode: str
-    run_id: str | None
-    seq: int
-    departure: int | None  # None for walks (start any time)
-    duration: int
-
-
 class _PartSolver:
-    """Earliest-arrival / latest-departure searches over one part."""
+    """Earliest-arrival / latest-departure searches over one part.
 
-    def __init__(self, part: Part, tt: RelevantTimetable):
+    A move from stop i is (to_index, departure, duration, run_id): first the
+    walks to stop i + 1, then the timetabled departures to later part stops,
+    both in the network's stop-index order; departure and run_id are None
+    for walks, which start any time.
+    """
+
+    def __init__(self, part: Part, tt: TransitNetwork):
         self.part = part
         self.size = len(part.stops)
         index = {stop: i for i, stop in enumerate(part.stops)}
-        moves: dict[int, list[_Move]] = {i: [] for i in range(self.size)}
-        for conn in tt.connections:
-            i = index.get(conn.from_stop)
-            j = index.get(conn.to_stop)
-            if i is None or j is None or i >= j:
-                continue
-            moves[i].append(
-                _Move(j, MODE_SERVICE, conn.run_id, conn.seq, conn.departure, conn.duration)
-            )
-        for link in sorted(tt.walks, key=lambda l: (l.from_stop, l.to_stop, l.duration)):
-            i = index.get(link.from_stop)
-            if i is None or i + 1 >= self.size or part.stops[i + 1] != link.to_stop:
-                continue
-            moves[i].append(_Move(i + 1, MODE_WALK, None, 0, None, link.duration))
-        for i in moves:
-            moves[i].sort(key=lambda m: (m.departure is not None, m.departure or 0, m.duration, m.run_id or "", m.seq))
-        self.moves = moves
+        stop_index = tt.stop_index
+        self.moves: list[list[tuple[int, int | None, int, str | None]]] = []
+        for i, stop in enumerate(part.stops[:-1]):
+            walks = stop_index.walks.get((stop, part.stops[i + 1]), ())
+            moves = [(i + 1, None, link.duration, None) for link in walks]
+            for conn in stop_index.departures.get(stop, ()):
+                j = index.get(conn.to_stop, -1)
+                if j > i:
+                    moves.append((j, conn.departure, conn.duration, conn.run_id))
+            self.moves.append(moves)
+
+    def _leg(self, i: int, j: int, run_id: str | None, board: int, alight: int) -> LegAssignment:
+        mode = MODE_WALK if run_id is None else MODE_SERVICE
+        return LegAssignment(self.part.stops[i], self.part.stops[j], mode, run_id, board, alight)
 
     def earliest_arrival(self, ready_time: int, deadline: _Deadline) -> tuple[list[LegAssignment], int] | None:
         """Minimal final arrival departing no earlier than ready_time."""
         arrival = [_UNREACHED] * self.size
-        parent: list[tuple[int, _Move, int, int] | None] = [None] * self.size
+        parent: list[tuple[int, str | None, int, int] | None] = [None] * self.size
         arrival[0] = ready_time
         for i in range(self.size - 1):
             deadline.check()
             t = arrival[i]
             if t >= _UNREACHED:
                 continue
-            for move in self.moves[i]:
-                if move.departure is None:
+            for j, departure, duration, run_id in self.moves[i]:
+                if departure is None:
                     board = t
-                else:
-                    if move.departure < t:
-                        continue
-                    board = move.departure
-                alight = board + move.duration
-                if alight > DAY_MINUTES:
+                elif departure < t:
                     continue
-                if alight < arrival[move.to_index]:
-                    arrival[move.to_index] = alight
-                    parent[move.to_index] = (i, move, board, alight)
+                else:
+                    board = departure
+                alight = board + duration
+                if alight <= DAY_MINUTES and alight < arrival[j]:
+                    arrival[j] = alight
+                    parent[j] = (i, run_id, board, alight)
         if arrival[-1] >= _UNREACHED:
             return None
-        return self._reconstruct(parent), arrival[-1]
+        legs: list[LegAssignment] = []
+        j = self.size - 1
+        while j:
+            i, run_id, board, alight = parent[j]
+            legs.append(self._leg(i, j, run_id, board, alight))
+            j = i
+        legs.reverse()
+        return _coalesce(legs), arrival[-1]
 
     def latest_departure(self, arrive_by: int, deadline: _Deadline) -> tuple[list[LegAssignment], int] | None:
         """Maximal start time such that the part still completes by arrive_by."""
         latest = [-_UNREACHED] * self.size
-        choice: list[tuple[_Move, int, int] | None] = [None] * self.size
+        choice: list[tuple[int, str | None, int, int] | None] = [None] * self.size
         latest[-1] = arrive_by
         for i in range(self.size - 2, -1, -1):
             deadline.check()
-            for move in self.moves[i]:
-                bound = latest[move.to_index]
+            for j, departure, duration, run_id in self.moves[i]:
+                bound = latest[j]
                 if bound <= -_UNREACHED:
                     continue
-                if move.departure is None:
-                    board = bound - move.duration
-                else:
-                    if move.departure + move.duration > bound:
-                        continue
-                    board = move.departure
-                if board < 0:
+                if departure is None:
+                    board = bound - duration
+                elif departure + duration > bound:
                     continue
-                if board > latest[i]:
+                else:
+                    board = departure
+                if board >= 0 and board > latest[i]:
                     latest[i] = board
-                    choice[i] = (move, board, board + move.duration)
+                    choice[i] = (j, run_id, board, board + duration)
         if latest[0] <= -_UNREACHED:
             return None
         legs: list[LegAssignment] = []
         i = 0
         while i < self.size - 1:
-            picked = choice[i]
-            if picked is None:
-                return None
-            move, board, alight = picked
-            legs.append(
-                LegAssignment(self.part.stops[i], self.part.stops[move.to_index], move.mode, move.run_id, board, alight)
-            )
-            i = move.to_index
+            j, run_id, board, alight = choice[i]
+            legs.append(self._leg(i, j, run_id, board, alight))
+            i = j
         return _coalesce(legs), latest[0]
-
-    def _reconstruct(self, parent: list) -> list[LegAssignment]:
-        raw: list[tuple[int, _Move, int, int]] = []
-        i = self.size - 1
-        while i != 0:
-            entry = parent[i]
-            if entry is None:
-                raise ConsistencyError("broken parent chain in part schedule")
-            raw.append(entry)
-            i = entry[0]
-        raw.reverse()
-        legs = [
-            LegAssignment(self.part.stops[i], self.part.stops[move.to_index], move.mode, move.run_id, board, alight)
-            for i, move, board, alight in raw
-        ]
-        return _coalesce(legs)
 
 
 def _coalesce(legs: list[LegAssignment]) -> list[LegAssignment]:
@@ -255,7 +223,7 @@ def _coalesce(legs: list[LegAssignment]) -> list[LegAssignment]:
 
 
 def earliest_arrival_in_part(
-    part: Part, ready_time: int, tt: RelevantTimetable, time_limit_s: float | None = None
+    part: Part, ready_time: int, tt: TransitNetwork, time_limit_s: float | None = None
 ) -> PartSchedule | None:
     """Earliest-completion schedule for one part, or None if infeasible."""
     if not 0 <= ready_time < DAY_MINUTES:
@@ -287,7 +255,7 @@ def _agent_chains(parts: list[Part]) -> dict[AgentId, list[int]]:
 
 
 def schedule_group(
-    parts: list[Part], tt: RelevantTimetable, time_limit_s: float | None = None
+    parts: list[Part], tt: TransitNetwork, time_limit_s: float | None = None
 ) -> ScheduleResult:
     """Two-pass schedule for a whole group, or infeasible/timeout.
 
@@ -350,9 +318,7 @@ def schedule_group(
         if legs[-1].alight - legs[0].board > DAY_MINUTES:
             return ScheduleResult(schedule=None)
         itineraries[agent] = Itinerary(agent=agent, legs=legs, depart=legs[0].board, arrive=legs[-1].alight)
-    return ScheduleResult(
-        schedule=GroupSchedule(group_id=tt.group_id, part_schedules=schedules), itineraries=itineraries
-    )
+    return ScheduleResult(schedule=schedules, itineraries=itineraries)
 
 
 def plan_as_single_part(plan: Plan) -> Part:
@@ -371,7 +337,7 @@ def schedule_single_agent(
 ) -> ScheduleResult:
     """Timetable one traveller's plan in isolation (the prolongation baseline)."""
     part = plan_as_single_part(plan)
-    return schedule_group([part], relevant_timetable([part], network, group_id=-1), time_limit_s)
+    return schedule_group([part], relevant_timetable([part], network), time_limit_s)
 
 
 def time_limit_for(group_size: int, config: EngineConfig = EngineConfig()) -> float:

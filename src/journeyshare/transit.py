@@ -14,6 +14,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -91,7 +92,9 @@ class WalkingLink:
 
 @dataclass(frozen=True)
 class StopIndex:
-    """Timetabled connections grouped by from_stop, walking links by stop pair."""
+    """Timetabled connections grouped by from_stop, each stop's departures in
+    (departure, duration, run_id, seq) order; walking links grouped by stop
+    pair, shortest first."""
 
     departures: Mapping[str, tuple[TimetabledConnection, ...]]
     walks: Mapping[tuple[str, str], tuple[WalkingLink, ...]]
@@ -109,8 +112,9 @@ class TransitNetwork:
     def stop_index(self) -> StopIndex:
         """Departures and walking links per stop, built on first use.
 
-        The index references the network's own connection and link objects;
-        departures keep the network's connection order.
+        The index references the network's own connection and link objects,
+        ordered as StopIndex says (exact ties keep network order); scheduling
+        keeps the first of equally good moves in this order.
         """
         departures: dict[str, list[TimetabledConnection]] = {}
         for conn in self.connections:
@@ -118,9 +122,10 @@ class TransitNetwork:
         walks: dict[tuple[str, str], list[WalkingLink]] = {}
         for link in self.walking_links:
             walks.setdefault((link.from_stop, link.to_stop), []).append(link)
+        by_time = attrgetter("departure", "duration", "run_id", "seq")
         return StopIndex(
-            departures={stop: tuple(conns) for stop, conns in departures.items()},
-            walks={pair: tuple(links) for pair, links in walks.items()},
+            departures={stop: tuple(sorted(conns, key=by_time)) for stop, conns in departures.items()},
+            walks={pair: tuple(sorted(links, key=attrgetter("duration"))) for pair, links in walks.items()},
         )
 
     def runs(self) -> dict[str, tuple[TimetabledConnection, ...]]:
@@ -156,11 +161,11 @@ def haversine_km(a: tuple[float, float], b: tuple[float, float]) -> float:
     return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(h))
 
 
-def _open_csv(source: str | Path | Iterable[str]) -> tuple[Iterable[str], str]:
+def _open_csv(source: str | Path | Iterable[str], label: str) -> tuple[Iterable[str], str]:
     if isinstance(source, (str, Path)):
         path = Path(source)
         return read_text(path).splitlines(), str(path)
-    return source, "<timetable>"
+    return source, label
 
 
 def _check_header(row: list[str], expected: list[str], name: str) -> None:
@@ -169,7 +174,7 @@ def _check_header(row: list[str], expected: list[str], name: str) -> None:
 
 
 def load_stops(source: str | Path | Iterable[str]) -> dict[str, Stop]:
-    lines, name = _open_csv(source)
+    lines, name = _open_csv(source, "<stops>")
     reader = csv_rows(lines, name)
     stops: dict[str, Stop] = {}
     for lineno, row in enumerate(reader, start=1):
@@ -227,7 +232,7 @@ def load_network(
     dangling stop ids and ValidationError on broken run structure.
     """
     stops = load_stops(stops_source)
-    lines, name = _open_csv(timetable_source)
+    lines, name = _open_csv(timetable_source, "<timetable>")
     reader = csv_rows(lines, name)
     rows: dict[tuple[str, int], TimetabledConnection] = {}
     for lineno, row in enumerate(reader, start=1):

@@ -86,10 +86,10 @@ def random_digraph(rng: random.Random, n_nodes: int, edge_prob: float = 0.4, max
     return nodes, edges
 
 
-def brute_force_relevant_timetable(parts, network, group_id: int = 0):
+def brute_force_relevant_timetable(parts, network):
     """Relevant timetable by scanning every connection and walking link of
     the network for every part."""
-    from journeyshare.grouping import RelevantTimetable
+    from journeyshare.transit import TransitNetwork
 
     connections = []
     seen = set()
@@ -114,7 +114,7 @@ def brute_force_relevant_timetable(parts, network, group_id: int = 0):
                 walks.add(link)
 
     connections.sort(key=lambda c: (c.service_id, c.run_id, c.seq))
-    return RelevantTimetable(group_id=group_id, connections=tuple(connections), walks=frozenset(walks))
+    return TransitNetwork(stops=network.stops, connections=tuple(connections), walking_links=frozenset(walks))
 
 
 # --- exhaustive scheduling oracle -----------------------------------------
@@ -139,7 +139,7 @@ def part_chains(part, tt) -> list[tuple]:
         i, j = index.get(conn.from_stop), index.get(conn.to_stop)
         if i is not None and j is not None and i < j:
             moves[i].append(("service", j, conn.departure, conn.duration))
-    for link in tt.walks:
+    for link in tt.walking_links:
         i = index.get(link.from_stop)
         if i is not None and i + 1 < len(part.stops) and part.stops[i + 1] == link.to_stop:
             moves[i].append(("walk", i + 1, None, link.duration))
@@ -263,8 +263,8 @@ def oracle_min_solo_duration(part, tt) -> int | None:
 
 def random_scheduling_instance(rng: random.Random):
     """Random 1..3-part chain/meet structure with <= 20 relevant connections."""
-    from journeyshare.grouping import Part, RelevantTimetable
-    from journeyshare.transit import TimetabledConnection, WalkingLink
+    from journeyshare.grouping import Part
+    from journeyshare.transit import TimetabledConnection, TransitNetwork, WalkingLink
 
     shape = rng.choice(["solo", "chain", "meet"])
     if shape == "solo":
@@ -314,4 +314,4 @@ def random_scheduling_instance(rng: random.Random):
             connections.append(
                 TimetabledConnection(f"S{idx}", f"R{idx}", 1, a, b, rng.randint(0, 1300), rng.randint(5, 120))
             )
-    return parts, RelevantTimetable(0, tuple(connections), frozenset(walks))
+    return parts, TransitNetwork({}, tuple(connections), frozenset(walks))

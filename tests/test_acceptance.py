@@ -203,7 +203,7 @@ def test_criterion_6_scheduler_oracle():
         assert {a: i.duration for a, i in itins.items()} == oracle, "total duration differs from exhaustive search"
         assert sum(i.duration for i in itins.values()) == sum(oracle.values())
         for part in parts:
-            legs = result.schedule.part_schedules[part.id].legs
+            legs = result.schedule[part.id].legs
             for leg in legs:
                 assert leg.alight > leg.board
             for a, b in zip(legs, legs[1:]):

@@ -249,6 +249,15 @@ class TestExperimentAndValidate:
         code = main(["validate", "--results", str(bad)])
         assert code == 2
 
+    def test_validate_timed_out_matched_group_exits_2(self, tmp_path, capsys):
+        from journeyshare.metrics import RESULTS_COLUMNS
+
+        bad = tmp_path / "results.csv"
+        bad.write_text(",".join(RESULTS_COLUMNS) + "\ns,2,NS,1,0.5,0,2,1,1,,0.1,0.1,0.1,0.3\n")
+        code = main(["validate", "--results", str(bad)])
+        assert code == 2
+        assert f"{bad}:2: timed-out group marked matched" in capsys.readouterr().err
+
     def test_malformed_matrix_json_is_input_error(self, tmp_path, capsys):
         matrix_path = tmp_path / "matrix.json"
         matrix_path.write_text('{\n  "scenario": "cli",\n  "agents": [2,\n}\n')

@@ -388,7 +388,7 @@ class TestRunBatch:
                 parts = artifacts.parts[record.group_id]
                 schedule = artifacts.group_schedules[record.group_id].schedule
                 for part in parts:
-                    legs = schedule.part_schedules[part.id].legs
+                    legs = schedule[part.id].legs
                     assert legs[0].from_stop == part.stops[0]
                     assert legs[-1].to_stop == part.stops[-1]
                 for itin in itins.values():
@@ -421,6 +421,13 @@ class TestValidateResults:
         rows = [",".join(RESULTS_COLUMNS), "s,2,NS,1,0.5,,,,,,,0.1,0.1,0.3"]
         bad.write_text("\n".join(rows) + "\n")
         with pytest.raises(ConsistencyError, match="timing"):
+            validate_results_file(bad)
+
+    def test_rejects_timed_out_group_marked_matched(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        rows = [",".join(RESULTS_COLUMNS), "s,2,NS,1,0.5,0,2,1,1,,0.1,0.1,0.1,0.3"]
+        bad.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ConsistencyError, match=r"bad\.csv:2: timed-out group marked matched"):
             validate_results_file(bad)
 
     @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from journeyshare.grouping import (
     split_into_parts,
 )
 from journeyshare.planning import AgentRequest, Plan, plan_individual
+from journeyshare.scheduling import schedule_group
 from journeyshare.synth import SyntheticNetworkSpec, build_synthetic_network, stop_id
 from journeyshare.transit import add_walking_links, load_network
 
@@ -204,7 +205,7 @@ class TestRelevantTimetable:
         p1 = path_plan(1, ("C", "D", "E", "F"))
         p2 = path_plan(2, ("C", "D", "E", "F"))
         parts = split_into_parts(identify_groups(merge_plans([p1, p2]))[0])
-        tt = relevant_timetable(parts, net, group_id=0)
+        tt = relevant_timetable(parts, net)
         services = {c.service_id for c in tt.connections}
         assert services == {"T1", "T2", "T3", "T4", "T5"}
         # forward direction only, and only within the part
@@ -231,7 +232,7 @@ class TestRelevantTimetable:
         p1 = path_plan(1, tuple(f"S05{r:02d}" for r in range(9, 1, -1)))
         p2 = path_plan(2, tuple(f"S05{r:02d}" for r in range(8, 0, -1)))
         parts = split_into_parts(identify_groups(merge_plans([p1, p2]))[0])
-        tt = relevant_timetable(parts, net, group_id=0)
+        tt = relevant_timetable(parts, net)
         assert 0 < len(tt.connections) < 0.10 * len(net.connections)
 
 
@@ -272,8 +273,13 @@ class TestRelevantTimetableOracle:
     @given(parts=grid_walk_parts())
     def test_indexed_slice_matches_full_scan(self, parts):
         assert WALK_NETWORK.walking_links
-        tt = relevant_timetable(parts, WALK_NETWORK, group_id=3)
-        expected = brute_force_relevant_timetable(parts, WALK_NETWORK, group_id=3)
-        assert tt.group_id == 3
+        tt = relevant_timetable(parts, WALK_NETWORK)
+        expected = brute_force_relevant_timetable(parts, WALK_NETWORK)
         assert tt.connections == expected.connections
-        assert tt.walks == expected.walks
+        assert tt.walking_links == expected.walking_links
+
+    @settings(max_examples=100, deadline=None)
+    @given(parts=grid_walk_parts())
+    def test_slice_is_complete_for_scheduling(self, parts):
+        # scheduling on the slice and on the whole network gives the same result
+        assert schedule_group(parts, relevant_timetable(parts, WALK_NETWORK)) == schedule_group(parts, WALK_NETWORK)

@@ -5,7 +5,7 @@ import pytest
 from journeyshare.best_response import merge_plans
 from journeyshare.config import EngineConfig
 from journeyshare.errors import InputError
-from journeyshare.grouping import Part, RelevantTimetable, identify_groups, relevant_timetable, split_into_parts
+from journeyshare.grouping import Part, identify_groups, relevant_timetable, split_into_parts
 from journeyshare.planning import Plan
 from journeyshare.scheduling import (
     MODE_SERVICE,
@@ -16,7 +16,7 @@ from journeyshare.scheduling import (
     schedule_single_agent,
     time_limit_for,
 )
-from journeyshare.transit import DAY_MINUTES, TimetabledConnection, WalkingLink, load_network
+from journeyshare.transit import DAY_MINUTES, TimetabledConnection, TransitNetwork, WalkingLink, load_network
 
 from oracle_utils import oracle_agent_durations, oracle_schedule
 
@@ -35,8 +35,8 @@ def path_plan(agent, stops) -> Plan:
 
 
 # direct train T1 arrives at 330, before stopping train T2's 370
-FAST_DIRECT_TT = RelevantTimetable(
-    group_id=0,
+FAST_DIRECT_TT = TransitNetwork(
+    stops={},
     connections=(
         conn("T1", "T1a", 1, "C", "F", 250, 80),
         conn("T2", "T2a", 1, "C", "D", 260, 30),
@@ -65,7 +65,7 @@ class TestEarliestArrivalInPart:
 
     def test_empty_relevant_timetable_infeasible(self):
         part = solo_part(("C", "D"))
-        assert earliest_arrival_in_part(part, 0, RelevantTimetable(0, ())) is None
+        assert earliest_arrival_in_part(part, 0, TransitNetwork({}, ())) is None
 
     def test_dense_timetable_matches_hand_computation(self):
         # a run every 10 minutes, unit legs: presence t boards ceil(t/10)*10
@@ -75,7 +75,7 @@ class TestEarliestArrivalInPart:
             connections.append(conn("S", run, 1, "P0", "P1", dep, 1))
             connections.append(conn("S", run, 2, "P1", "P2", dep + 1, 1))
             connections.append(conn("S", run, 3, "P2", "P3", dep + 2, 1))
-        tt = RelevantTimetable(0, tuple(connections))
+        tt = TransitNetwork({}, tuple(connections))
         part = solo_part(("P0", "P1", "P2", "P3"))
         assert earliest_arrival_in_part(part, 0, tt).arrive == 3
         assert earliest_arrival_in_part(part, 5, tt).arrive == 13
@@ -85,26 +85,73 @@ class TestEarliestArrivalInPart:
     def test_ready_time_outside_day_rejected(self):
         part = solo_part(("C", "D"))
         with pytest.raises(InputError):
-            earliest_arrival_in_part(part, DAY_MINUTES, RelevantTimetable(0, ()))
+            earliest_arrival_in_part(part, DAY_MINUTES, TransitNetwork({}, ()))
 
     def test_arrival_exactly_at_midnight_is_within_the_day(self):
         part = solo_part(("C", "D"))
-        tt = RelevantTimetable(0, (conn("S", "R1", 1, "C", "D", 1400, 40),))
+        tt = TransitNetwork({}, (conn("S", "R1", 1, "C", "D", 1400, 40),))
         sched = earliest_arrival_in_part(part, 0, tt)
         assert sched is not None and sched.arrive == DAY_MINUTES
-        late = RelevantTimetable(0, (conn("S", "R1", 1, "C", "D", 1401, 40),))
+        late = TransitNetwork({}, (conn("S", "R1", 1, "C", "D", 1401, 40),))
         assert earliest_arrival_in_part(part, 0, late) is None
 
     def test_walk_link_bridges_missing_service(self):
         part = solo_part(("C", "D", "E"))
-        tt = RelevantTimetable(
-            0,
+        tt = TransitNetwork(
+            {},
             connections=(conn("S", "R1", 1, "D", "E", 100, 20),),
-            walks=frozenset({WalkingLink("C", "D", 7)}),
+            walking_links=frozenset({WalkingLink("C", "D", 7)}),
         )
         sched = earliest_arrival_in_part(part, 0, tt)
         assert [l.mode for l in sched.legs] == [MODE_WALK, MODE_SERVICE]
         assert sched.arrive == 120
+
+
+class TestTieBreaks:
+    """Among equally good moves both searches keep the first in stop-index
+    order: walks, then departures by (departure, duration, run_id, seq).
+    Each network below lists its connections by service, which disagrees."""
+
+    def test_same_minute_runs_keep_lowest_run_id(self):
+        tt = TransitNetwork(
+            {},
+            (
+                conn("SA", "Z9", 1, "C", "D", 100, 30),
+                conn("SB", "R1", 1, "C", "D", 100, 30),
+            ),
+        )
+        part = solo_part(("C", "D"))
+        assert earliest_arrival_in_part(part, 0, tt).legs[0].run_id == "R1"
+        assert [l.run_id for l in schedule_group([part], tt).schedule[0].legs] == ["R1"]
+
+    def test_same_minute_shorter_hop_beats_equally_fast_direct_run(self):
+        # both reach E at 140; the index lists R1's 10-minute hop before Z9
+        tt = TransitNetwork(
+            {},
+            (
+                conn("SA", "Z9", 1, "C", "E", 100, 40),
+                conn("SB", "R1", 1, "C", "D", 100, 10),
+                conn("SB", "R1", 2, "D", "E", 110, 30),
+            ),
+        )
+        result = schedule_group([solo_part(("C", "D", "E"))], tt)
+        assert [(l.run_id, l.from_stop, l.to_stop, l.board, l.alight) for l in result.schedule[0].legs] == [
+            ("R1", "C", "E", 100, 140)
+        ]
+
+    def test_walk_beats_service_boarding_the_same_minute(self):
+        tt = TransitNetwork(
+            {},
+            connections=(conn("SA", "R1", 1, "C", "D", 50, 10),),
+            walking_links=frozenset({WalkingLink("C", "D", 10)}),
+        )
+        part = solo_part(("C", "D"))
+        sched = earliest_arrival_in_part(part, 50, tt)
+        assert [(l.mode, l.board, l.alight) for l in sched.legs] == [(MODE_WALK, 50, 60)]
+        # with the run at minute 0, both passes of schedule_group meet the tie
+        at_zero = TransitNetwork({}, (conn("SA", "R1", 1, "C", "D", 0, 10),), tt.walking_links)
+        result = schedule_group([part], at_zero)
+        assert [(l.mode, l.board, l.alight) for l in result.schedule[0].legs] == [(MODE_WALK, 0, 10)]
 
 
 def two_agent_parts():
@@ -120,14 +167,14 @@ class TestScheduleGroup:
         part = solo_part(("C", "D", "E", "F"))
         result = schedule_group([part], FAST_DIRECT_TT)
         assert result.feasible
-        sched = result.schedule.part_schedules[0]
+        sched = result.schedule[0]
         assert sched.arrive == 330
         assert sched.depart == 250  # waits 0..250 squeezed out by compression
 
     def test_meeting_waits_for_slowest_companion(self):
         parts = two_agent_parts()
-        tt = RelevantTimetable(
-            0,
+        tt = TransitNetwork(
+            {},
             connections=(
                 conn("SA", "RA", 1, "A", "C", 0, 30),    # agent 1 reaches C at 30
                 conn("SB", "RB", 1, "B", "C", 0, 90),    # agent 2 reaches C at 90
@@ -140,15 +187,15 @@ class TestScheduleGroup:
         result = schedule_group(parts, tt)
         assert result.feasible
         shared = next(
-            s for s in result.schedule.part_schedules.values() if s.legs[0].from_stop == "C"
+            s for s in result.schedule.values() if s.legs[0].from_stop == "C"
         )
         assert shared.legs[0].run_id == "RC2"
         assert shared.legs[0].board == 120
 
     def test_missing_service_on_shared_part_infeasible(self):
         parts = two_agent_parts()
-        tt = RelevantTimetable(
-            0,
+        tt = TransitNetwork(
+            {},
             connections=(
                 conn("SA", "RA", 1, "A", "C", 0, 30),
                 conn("SB", "RB", 1, "B", "C", 0, 90),
@@ -161,14 +208,14 @@ class TestScheduleGroup:
 
     def test_timeout_reported_distinctly(self):
         parts = two_agent_parts()
-        result = schedule_group(parts, RelevantTimetable(0, ()), time_limit_s=0.0)
+        result = schedule_group(parts, TransitNetwork({}, ()), time_limit_s=0.0)
         assert not result.feasible
         assert result.timed_out
 
     def test_compression_never_changes_agent_arrivals_or_raises_durations(self):
         parts = two_agent_parts()
-        tt = RelevantTimetable(
-            0,
+        tt = TransitNetwork(
+            {},
             connections=(
                 conn("SA", "RA1", 1, "A", "C", 0, 30),
                 conn("SA", "RA2", 1, "A", "C", 80, 30),
@@ -189,8 +236,8 @@ class TestScheduleGroup:
 
     def test_group_exceeding_day_horizon_infeasible(self):
         parts = two_agent_parts()
-        tt = RelevantTimetable(
-            0,
+        tt = TransitNetwork(
+            {},
             connections=(
                 conn("SA", "RA", 1, "A", "C", 0, 30),
                 conn("SB", "RB", 1, "B", "C", 0, 90),
@@ -207,7 +254,7 @@ class TestFeasibilityInvariants:
     def assert_schedule_invariants(self, parts, result):
         schedule = result.schedule
         for part in parts:
-            sched = schedule.part_schedules[part.id]
+            sched = schedule[part.id]
             for leg in sched.legs:
                 assert leg.alight > leg.board
             for a, b in zip(sched.legs, sched.legs[1:]):
@@ -221,7 +268,7 @@ class TestFeasibilityInvariants:
             chain_legs = []
             pid = next(p.id for p in parts if agent in p.agents and p.prev[agent] is None)
             while pid is not None:
-                chain_legs.extend(schedule.part_schedules[pid].legs)
+                chain_legs.extend(schedule[pid].legs)
                 pid = by_id[pid].next[agent]
             assert itin.legs == tuple(chain_legs)
             assert (itin.depart, itin.arrive) == (chain_legs[0].board, chain_legs[-1].alight)
@@ -342,7 +389,7 @@ class TestScheduleSingleAgent:
             plan = path_plan(1, tuple(names))
             result = schedule_single_agent(plan, net)
             part = plan_as_single_part(plan)
-            tt = relevant_timetable([part], net, group_id=-1)
+            tt = relevant_timetable([part], net)
             oracle = oracle_agent_durations([part], tt)
             if oracle is None:
                 assert not result.feasible

@@ -8,10 +8,14 @@ from hypothesis import strategies as st
 from journeyshare.errors import ParseError, ReferentialError, ValidationError
 from journeyshare.transit import (
     EARTH_RADIUS_KM,
+    TimetabledConnection,
+    TransitNetwork,
+    WalkingLink,
     add_walking_links,
     build_relaxed_graph,
     haversine_km,
     load_network,
+    load_stops,
     save_network,
 )
 
@@ -90,12 +94,35 @@ class TestLoadNetwork:
         with pytest.raises(ParseError, match="latitude"):
             load_network(rows, TIMETABLE_4[:1])
 
+    def test_in_memory_sources_are_named_by_kind(self):
+        with pytest.raises(ParseError, match="^<stops>:2: "):
+            load_stops(["stop_id,name,lat,lon,mode", "S1,x,95,0,rail"])
+        rows = TIMETABLE_4[:1] + ["SA,RA,not_an_int,W,X,60,10"]
+        with pytest.raises(ParseError, match="^<timetable>:2: "):
+            load_network(STOPS_4, rows)
+
     def test_roundtrip_through_files(self, tmp_path):
         net = load_network(STOPS_4, TIMETABLE_4)
         save_network(net, tmp_path / "stops.csv", tmp_path / "timetable.csv")
         reloaded = load_network(tmp_path / "stops.csv", tmp_path / "timetable.csv")
         assert reloaded.stops == dict(net.stops)
         assert reloaded.connections == net.connections
+
+
+class TestStopIndex:
+    def test_departures_by_time_and_walks_shortest_first(self):
+        # network order is by service; the index orders by (departure, duration, run_id, seq)
+        connections = (
+            TimetabledConnection("SA", "Z9", 1, "W", "X", 100, 30),
+            TimetabledConnection("SB", "A1", 1, "W", "Y", 90, 50),
+            TimetabledConnection("SC", "R1", 1, "W", "X", 100, 20),
+            TimetabledConnection("SD", "R0", 1, "W", "X", 100, 30),
+        )
+        walks = frozenset({WalkingLink("W", "X", 9), WalkingLink("W", "X", 4), WalkingLink("X", "W", 4)})
+        index = TransitNetwork({}, connections, walks).stop_index
+        assert [c.run_id for c in index.departures["W"]] == ["A1", "R1", "R0", "Z9"]
+        assert [link.duration for link in index.walks[("W", "X")]] == [4, 9]
+        assert "X" not in index.departures
 
 
 class TestHaversine:
