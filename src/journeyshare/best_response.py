@@ -41,9 +41,6 @@ class JointPlan:
     edges: Mapping[Edge, frozenset]
     per_agent: Mapping[AgentId, Plan]
 
-    def agents_on(self, edge: Edge) -> frozenset:
-        return self.edges.get(edge, frozenset())
-
     def to_dict(self) -> dict:
         return {
             "edges": [
@@ -92,8 +89,9 @@ def occupancy_cost(joint: JointPlan, agent: AgentId, graph: RelaxedGraph) -> Cal
     """Edge costs the agent faces when replanning while everyone else stays put."""
 
     def cost(edge: Edge) -> float:
-        others = len(joint.agents_on(edge) - {agent})
-        return shared_cost(float(graph.edges[edge]), 1 + others)
+        users = joint.edges.get(edge, frozenset())
+        # the group on the edge is its users with the agent added
+        return shared_cost(float(graph.edges[edge]), len(users) + (agent not in users))
 
     return cost
 
@@ -108,7 +106,10 @@ def best_response_step(joint: JointPlan, agent: AgentId, graph: RelaxedGraph) ->
     if current is None:
         raise InputError(f"agent {agent!r} not present in joint plan")
     request = AgentRequest(agent=agent, origin=current.legs[0][0], destination=current.legs[-1][1])
-    best = plan_individual(graph, request, occupancy_cost(joint, agent, graph))
+    # an edge has at most all N travellers on it, so none costs less than this
+    # share of its base cost
+    floor = DISCOUNT_SHARE / len(joint.per_agent) + FLOOR_SHARE
+    best = plan_individual(graph, request, occupancy_cost(joint, agent, graph), floor=floor)
     if best is None:
         logger.warning("agent %r has no route in best-response step; keeping current plan", agent)
         return current
@@ -161,16 +162,3 @@ def run_br_phase(
     logger.warning("best-response phase hit max_rounds=%d without converging", max_rounds)
     return joint
 
-
-def rosenthal_potential(joint: JointPlan, graph: RelaxedGraph) -> float:
-    """Potential that decreases whenever a traveller strictly improves.
-
-    Per edge with n users it accumulates the costs a 1st, 2nd, ... nth user
-    would pay, making unilateral cost changes equal potential changes.
-    """
-    value = 0.0
-    for edge in sorted(joint.edges):
-        base = float(graph.edges[edge])
-        for k in range(1, len(joint.edges[edge]) + 1):
-            value += shared_cost(base, k)
-    return value

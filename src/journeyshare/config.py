@@ -1,7 +1,8 @@
 """key=value configuration file handling.
 
 The config format is deliberately tiny: one `key=value` per line, `#`
-comments and blank lines ignored.  Recognised keys:
+comments and blank lines ignored.  Every value is a positive finite number.
+Recognised keys:
 
     walk.max_km            walking-link distance threshold (km)
     walk.speed_kmh         walking speed (km/h)
@@ -56,6 +57,8 @@ def parse_config_text(text: str, source: str = "<config>") -> EngineConfig:
             raise ParseError(f"{source}:{lineno}: bad value for {key}: {value.strip()!r}") from exc
         if not math.isfinite(values[field_name]):
             raise ParseError(f"{source}:{lineno}: {key} must be a finite number, got {value.strip()!r}")
+        if values[field_name] <= 0:
+            raise ParseError(f"{source}:{lineno}: {key} must be positive, got {value.strip()!r}")
     return EngineConfig(**values)
 
 

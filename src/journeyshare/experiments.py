@@ -100,6 +100,19 @@ def admissible_pairs(
     return pairs
 
 
+# the direction whose admissible pairs are a direction's own, turned round
+_REVERSE = {"NS": "SN", "SN": "NS", "WE": "EW", "EW": "WE"}
+
+
+def reversed_pairs(pairs: Sequence[tuple[str, str]]) -> list[tuple[str, str]]:
+    """admissible_pairs of the reverse direction, from one direction's.
+
+    The reverse direction swaps the origin and destination quadrants, and
+    haversine_km is symmetric, so every pair passes the same distance test.
+    """
+    return sorted((dest, origin) for origin, dest in pairs)
+
+
 def sample_requests(pairs: Sequence[tuple[str, str]], n_agents: int, seed: int) -> list[AgentRequest]:
     """Uniformly sample n agent requests (with replacement) from the pairs."""
     if not pairs:
@@ -333,6 +346,8 @@ def _cell_settings(cell, cell_index: int) -> dict:
 
     for key, (rule, holds) in rules.items():
         require(key, settings[key], rule, holds)
+    for key, value in settings["engine"].items():
+        require(f"engine.{key}", value, "positive", lambda v: v > 0)
     network = settings["network"]
     if "synthetic" in network:
         require("network.synthetic", network["synthetic"], "an object", lambda v: isinstance(v, dict))
@@ -370,8 +385,13 @@ def run_batch(
         except TypeError as exc:
             raise InputError(f"{where}: bad engine settings: {exc}") from exc
         prepared = prepare_network(network, config)
+        pairs, previous = [], None
         for di, direction in enumerate(settings["directions"]):
-            pairs = admissible_pairs(network, direction, settings["min_km"], settings["max_km"])
+            if previous == _REVERSE[direction]:
+                pairs = reversed_pairs(pairs)
+            else:
+                pairs = admissible_pairs(network, direction, settings["min_km"], settings["max_km"])
+            previous = direction
             for replicate in range(settings["seeds_per_direction"]):
                 seed = settings["base_seed"] + 100000 * cell_index + 100 * di + replicate
                 for n_agents in settings["agents"]:

@@ -1,8 +1,11 @@
 """Single-traveller route planning on the relaxed graph.
 
-plan_individual is a label-setting (uniform-cost) search returning a
+plan_individual is an A* search (Hart, Nilsson & Raphael, 1968) returning a
 cost-optimal simple path.  It also serves as the inner solver for
-best-response replanning, which only swaps in a different edge-cost function.
+best-response replanning, which swaps in a different edge-cost function and a
+floor share of the base cost that no edge undercuts; the floor times the
+base-cost distance to the destination is then an admissible, consistent
+heuristic.  With floor 0 the search is uniform-cost.
 """
 
 from __future__ import annotations
@@ -11,12 +14,21 @@ import heapq
 from dataclasses import dataclass
 from typing import Callable, Hashable
 
-from .errors import ConsistencyError, InputError
-from .transit import RelaxedGraph
+from .errors import InputError
+from .transit import UNREACHABLE, RelaxedGraph
 
 AgentId = Hashable
 Edge = tuple[str, str]
 EdgeCost = Callable[[Edge], float]
+
+# The search is guided by (1 - GUIDE_SLACK) * floor * distance.  With the full
+# floor, edges whose cost equals floor times their base cost add nothing to the
+# estimate, so two labels can tie exactly and float rounding of cost + estimate
+# decides which one pops first; an equal-cost path with a worse tie-break can
+# then win.  The slack gives every edge a margin of a millionth of its floor
+# cost, far above the rounding error of the sums, so the search returns what
+# uniform-cost search returns.
+GUIDE_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -66,11 +78,15 @@ def plan_individual(
     graph: RelaxedGraph,
     request: AgentRequest,
     edge_cost: EdgeCost | None = None,
+    floor: float = 0.0,
 ) -> Plan | None:
     """Minimum-cost simple path from origin to destination, or None.
 
-    Ties are broken towards fewer legs, then the lexicographically smallest
-    stop sequence, so results are reproducible.  Returns None when the
+    Every edge must cost at least floor times its base cost (InputError
+    otherwise); the search is guided by just under floor times the base-cost
+    distance to the destination.  Ties are broken towards fewer legs, then the
+    lexicographically smallest stop sequence, so results are reproducible and
+    do not depend on floor.  Returns None, without searching, when the
     destination is unreachable.
     """
     if request.origin not in graph.nodes:
@@ -79,38 +95,41 @@ def plan_individual(
         raise InputError(f"unknown destination stop {request.destination!r}")
     if edge_cost is None:
         edge_cost = graph_edge_cost(graph)
+    names, position, out_edges = graph.names, graph.positions, graph.out_edges
+    origin, destination = position[request.origin], position[request.destination]
+    distance = graph.distances_to(request.destination)
+    if distance[origin] == UNREACHABLE:
+        return None
+    guide = (1.0 - GUIDE_SLACK) * floor
 
-    # Labels are (cost, hops, path); edge costs are strictly positive, so the
-    # first label settled at a node is its tie-broken optimum and optimal
-    # paths are automatically simple.
-    start = (0.0, 0, (request.origin,))
-    heap: list[tuple[float, int, tuple[str, ...]]] = [start]
-    settled: set[str] = set()
+    # Labels are (cost + guide * remaining, cost, hops, path), with paths of
+    # node positions, which order as the stop names do.  The estimate is
+    # constant per node, so labels at one node still pop in (cost, hops,
+    # path) order, and the heuristic is consistent, so the first label
+    # settled at a node is its tie-broken optimum; edge costs are strictly
+    # positive, so optimal paths are simple.
+    heap = [(guide * distance[origin], 0.0, 0, (origin,))]
+    settled = bytearray(len(names))
     while heap:
-        cost, hops, path = heapq.heappop(heap)
+        _, cost, hops, path = heapq.heappop(heap)
         node = path[-1]
-        if node in settled:
+        if settled[node]:
             continue
-        settled.add(node)
-        if node == request.destination:
-            legs = tuple(zip(path, path[1:]))
-            return Plan(agent=request.agent, legs=legs, total_cost=cost)
-        for succ in graph.neighbours(node):
-            if succ in settled:
+        settled[node] = 1
+        if node == destination:
+            stops = [names[i] for i in path]
+            return Plan(agent=request.agent, legs=tuple(zip(stops, stops[1:])), total_cost=cost)
+        name = names[node]
+        for succ, base in out_edges[node]:
+            if settled[succ]:
                 continue
-            step = edge_cost((node, succ))
-            if step < 0:
-                raise InputError(f"negative edge cost on {(node, succ)}")
-            heapq.heappush(heap, (cost + step, hops + 1, path + (succ,)))
+            remaining = distance[succ]
+            if remaining == UNREACHABLE:
+                continue
+            edge = (name, names[succ])
+            step = edge_cost(edge)
+            if step < floor * base:
+                raise InputError(f"edge cost {step} on {edge} is below {floor} times its base cost")
+            g = cost + step
+            heapq.heappush(heap, (g + guide * remaining, g, hops + 1, path + (succ,)))
     return None
-
-
-def plan_cost(plan: Plan, edge_cost: EdgeCost) -> float:
-    """Sum of per-leg costs; raises ConsistencyError if a leg is unknown."""
-    total = 0.0
-    for leg in plan.legs:
-        try:
-            total += edge_cost(leg)
-        except KeyError as exc:
-            raise ConsistencyError(f"plan leg {leg} not present in graph") from exc
-    return total

@@ -11,7 +11,9 @@ a route found on the graph names every intermediate stop it passes.
 from __future__ import annotations
 
 import csv
+import heapq
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
@@ -22,6 +24,8 @@ from .errors import ParseError, ReferentialError, ValidationError, csv_rows, rea
 
 EARTH_RADIUS_KM = 6371.0
 DAY_MINUTES = 1440
+# RelaxedGraph.distances_to's entry for a node with no path to the destination
+UNREACHABLE = -1
 
 MODES = ("rail", "coach", "walk-node")
 
@@ -141,7 +145,12 @@ class TransitNetwork:
 
 @dataclass(frozen=True)
 class RelaxedGraph:
-    """Directed stop graph with minimal inter-stop durations."""
+    """Directed stop graph with minimal inter-stop durations.
+
+    The search indexes (names, positions, out_edges) and the distance cache
+    are built on first use and are not fields, so they take no part in ==
+    or repr.
+    """
 
     nodes: frozenset[str]
     edges: Mapping[tuple[str, str], int]
@@ -149,6 +158,69 @@ class RelaxedGraph:
 
     def neighbours(self, node: str) -> tuple[str, ...]:
         return self.out_neighbours.get(node, ())
+
+    @cached_property
+    def names(self) -> tuple[str, ...]:
+        """The nodes in sorted order; a node's position is its index here, so
+        positions compare as the names do."""
+        return tuple(sorted(self.nodes))
+
+    @cached_property
+    def positions(self) -> dict[str, int]:
+        """Each node's index into names and into the arrays of distances_to."""
+        return {node: i for i, node in enumerate(self.names)}
+
+    @cached_property
+    def out_edges(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per node position, the (successor position, base cost) of its
+        out-edges, successors in name order."""
+        position = self.positions
+        return tuple(
+            tuple((position[succ], self.edges[(node, succ)]) for succ in self.neighbours(node))
+            for node in self.names
+        )
+
+    @cached_property
+    def _in_edges(self) -> list[list[tuple[int, int]]]:
+        """Per node position, the (predecessor position, base cost) of its in-edges."""
+        in_edges: list[list[tuple[int, int]]] = [[] for _ in self.names]
+        for node, out in enumerate(self.out_edges):
+            for succ, base in out:
+                in_edges[succ].append((node, base))
+        return in_edges
+
+    @cached_property
+    def _distances(self) -> dict[str, array]:
+        return {}
+
+    def distances_to(self, destination: str) -> array:
+        """Base-cost distance from every node to destination, indexed by
+        positions, UNREACHABLE where there is no path.
+
+        Computed on first request by a reverse Dijkstra search and kept for
+        the life of the graph.  The entries are floats, exact for the integer
+        sums of realistic durations, so that no duration the timetable
+        accepts overflows the array.
+        """
+        distance = self._distances.get(destination)
+        if distance is not None:
+            return distance
+        in_edges = self._in_edges
+        best = [math.inf] * len(self.names)
+        start = self.positions[destination]
+        best[start] = 0
+        heap = [(0, start)]
+        while heap:
+            d, node = heapq.heappop(heap)
+            if d > best[node]:
+                continue
+            for pred, base in in_edges[node]:
+                if d + base < best[pred]:
+                    best[pred] = d + base
+                    heapq.heappush(heap, (d + base, pred))
+        distance = array("d", [UNREACHABLE if d == math.inf else d for d in best])
+        self._distances[destination] = distance
+        return distance
 
 
 def haversine_km(a: tuple[float, float], b: tuple[float, float]) -> float:

@@ -2,12 +2,22 @@
 
 These deliberately avoid the production search code: paths are enumerated
 exhaustively, connectivity uses union-find, and costs are summed directly.
+The one exception is uniform_cost_plan below, a frozen copy of the planner's
+uniform-cost search from before it became goal-directed: the goal-directed
+search must return exactly what it returns, tie-break and float sums
+included.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from typing import Callable, Iterable
+
+from journeyshare.best_response import JointPlan, shared_cost
+from journeyshare.errors import InputError
+from journeyshare.planning import AgentRequest, EdgeCost, Plan, graph_edge_cost
+from journeyshare.transit import RelaxedGraph
 
 
 def all_simple_paths(
@@ -73,6 +83,69 @@ class UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self.parent[ra] = rb
+
+
+# --- label-setting search oracle ------------------------------------------
+#
+# uniform_cost_plan is planning.plan_individual as it was before the search
+# became goal-directed, unchanged but for its name.
+
+
+def uniform_cost_plan(
+    graph: RelaxedGraph,
+    request: AgentRequest,
+    edge_cost: EdgeCost | None = None,
+) -> Plan | None:
+    """Minimum-cost simple path from origin to destination, or None.
+
+    Ties are broken towards fewer legs, then the lexicographically smallest
+    stop sequence, so results are reproducible.  Returns None when the
+    destination is unreachable.
+    """
+    if request.origin not in graph.nodes:
+        raise InputError(f"unknown origin stop {request.origin!r}")
+    if request.destination not in graph.nodes:
+        raise InputError(f"unknown destination stop {request.destination!r}")
+    if edge_cost is None:
+        edge_cost = graph_edge_cost(graph)
+
+    # Labels are (cost, hops, path); edge costs are strictly positive, so the
+    # first label settled at a node is its tie-broken optimum and optimal
+    # paths are automatically simple.
+    start = (0.0, 0, (request.origin,))
+    heap: list[tuple[float, int, tuple[str, ...]]] = [start]
+    settled: set[str] = set()
+    while heap:
+        cost, hops, path = heapq.heappop(heap)
+        node = path[-1]
+        if node in settled:
+            continue
+        settled.add(node)
+        if node == request.destination:
+            legs = tuple(zip(path, path[1:]))
+            return Plan(agent=request.agent, legs=legs, total_cost=cost)
+        for succ in graph.neighbours(node):
+            if succ in settled:
+                continue
+            step = edge_cost((node, succ))
+            if step < 0:
+                raise InputError(f"negative edge cost on {(node, succ)}")
+            heapq.heappush(heap, (cost + step, hops + 1, path + (succ,)))
+    return None
+
+
+def rosenthal_potential(joint: JointPlan, graph: RelaxedGraph) -> float:
+    """Potential that decreases whenever a traveller strictly improves.
+
+    Per edge with n users it accumulates the costs a 1st, 2nd, ... nth user
+    would pay, making unilateral cost changes equal potential changes.
+    """
+    value = 0.0
+    for edge in sorted(joint.edges):
+        base = float(graph.edges[edge])
+        for k in range(1, len(joint.edges[edge]) + 1):
+            value += shared_cost(base, k)
+    return value
 
 
 def random_digraph(rng: random.Random, n_nodes: int, edge_prob: float = 0.4, max_cost: int = 60):

@@ -16,7 +16,6 @@ from journeyshare.best_response import (
     best_response_step,
     merge_plans,
     occupancy_cost,
-    rosenthal_potential,
     run_br_phase,
     shared_cost,
 )
@@ -33,6 +32,7 @@ from oracle_utils import (
     oracle_agent_durations,
     random_digraph,
     random_scheduling_instance,
+    rosenthal_potential,
 )
 
 EPS = 1e-9

@@ -188,6 +188,25 @@ class TestPlanCommand:
         assert code == 1
         assert f"{cfg}:2: walk.max_km must be a finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", ["sched.limit.small_s=-5", "walk.max_km=0", "walk.speed_kmh=-0.0"])
+    def test_non_positive_config_value_names_file_and_line(self, grid_dir, tmp_path, capsys, setting):
+        cfg = tmp_path / "engine.cfg"
+        cfg.write_text(f"# engine\n{setting}\n")
+        requests = tmp_path / "requests.csv"
+        write_requests(requests, ["a1,S0105,S0100"])
+        code = main(
+            [
+                "plan",
+                "--stops", str(grid_dir / "stops.csv"),
+                "--timetable", str(grid_dir / "timetable.csv"),
+                "--requests", str(requests),
+                "--config", str(cfg),
+            ]
+        )
+        assert code == 1
+        key = setting.partition("=")[0]
+        assert f"{cfg}:2: {key} must be positive" in capsys.readouterr().err
+
     @pytest.mark.parametrize("target", ["stops", "timetable", "requests", "config"])
     def test_non_utf8_input_names_file_and_line(self, grid_dir, tmp_path, capsys, target):
         paths = {
@@ -240,6 +259,18 @@ class TestExperimentAndValidate:
         code = main(["validate", "--results", str(out / "results.csv")])
         assert code == 0
         assert "invariants hold" in capsys.readouterr().out
+
+    def test_non_positive_engine_setting_names_cell_scenario_and_key(self, tmp_path, capsys):
+        matrix = {
+            "scenario": "cli",
+            "network": {"synthetic": {"width": 4, "height": 6, "spacing_km": 10.0, "headway_min": 120, "leg_min": 15}},
+            "engine": {"walk_max_km": 0},
+        }
+        matrix_path = tmp_path / "matrix.json"
+        matrix_path.write_text(json.dumps(matrix))
+        code = main(["experiment", "--matrix", str(matrix_path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "matrix cell 0 (scenario 'cli'): engine.walk_max_km must be positive, got 0" in capsys.readouterr().err
 
     def test_validate_flags_violation_with_exit_2(self, tmp_path, capsys):
         from journeyshare.metrics import RESULTS_COLUMNS

@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -7,8 +9,10 @@ from journeyshare.experiments import (
     DEFAULT_SYNTH_SPEC,
     admissible_pairs,
     default_matrix,
+    prepare_network,
     quadrant_axes,
     quadrant_of,
+    reversed_pairs,
     run_batch,
     run_pipeline,
     sample_requests,
@@ -124,6 +128,14 @@ class TestQuadrants:
                 (stops[origin].lat, stops[origin].lon), (stops[dest].lat, stops[dest].lon)
             )
             assert 20 <= d <= 160
+
+    @pytest.mark.parametrize("spec", [GRID, DEFAULT_SYNTH_SPEC, SyntheticNetworkSpec(width=20, height=40)])
+    def test_reverse_direction_pairs_are_the_pairs_turned_round(self, spec):
+        network = build_synthetic_network(spec)
+        for direction, reverse in (("NS", "SN"), ("WE", "EW")):
+            pairs = admissible_pairs(network, direction, 20, 160)
+            assert pairs
+            assert reversed_pairs(pairs) == admissible_pairs(network, reverse, 20, 160)
 
     def test_all_stops_in_one_quadrant_is_an_error(self):
         rows = ["stop_id,name,lat,lon,mode"] + [
@@ -303,6 +315,57 @@ class TestRunBatch:
         assert matrix["agents"] == [2, 4, 6, 8, 10, 12, 14]
         assert matrix["seeds_per_direction"] == 10
         assert len(matrix["directions"]) == 4
+
+    def test_pairs_computed_once_per_axis(self, monkeypatch):
+        from journeyshare import experiments
+
+        computed = []
+        original = experiments.admissible_pairs
+
+        def counting(network, direction, *args):
+            computed.append(direction)
+            return original(network, direction, *args)
+
+        def without_timings(results):
+            return [dataclasses.replace(result, timings={}) for result in results]
+
+        monkeypatch.setattr(experiments, "admissible_pairs", counting)
+        matrix = {**tiny_matrix(), "directions": ["NS", "SN", "WE", "EW", "NS"], "seeds_per_direction": 1}
+        reused = without_timings(run_batch(matrix))
+        assert computed == ["NS", "WE", "NS"]
+        computed.clear()
+        monkeypatch.setattr(experiments, "_REVERSE", dict.fromkeys(experiments.DIRECTIONS, "none"))
+        assert without_timings(run_batch(matrix)) == reused
+        assert computed == ["NS", "SN", "WE", "EW", "NS"]
+
+    def test_prepare_network_leaves_the_distance_cache_cold(self, grid_network):
+        _, graph = prepare_network(grid_network)
+        assert set(vars(graph)) == {"nodes", "edges", "out_neighbours"}
+
+    @pytest.mark.parametrize("key", ["walk_max_km", "walk_speed_kmh", "sched_limit_small_s", "sched_limit_large_s"])
+    @pytest.mark.parametrize("value", [0, -5, 0.0])
+    def test_non_positive_engine_setting_names_cell_scenario_and_key(self, key, value):
+        runs_nothing = {**tiny_matrix(), "seeds_per_direction": 0}
+        bad = {**tiny_matrix(), "engine": {key: value}}
+        with pytest.raises(InputError, match=rf"matrix cell 1 \(scenario 't'\): engine\.{key} must be positive"):
+            run_batch([runs_nothing, bad])
+
+    def test_default_batch_matches_golden_output(self, tmp_path):
+        """The default matrix's results.csv, timing columns aside, equals
+        tests/data/default_batch.csv.  A change that alters plans on purpose
+        rewrites that file from run_batch(default_matrix()) and says so."""
+        golden_path = Path(__file__).parent / "data" / "default_batch.csv"
+        out = tmp_path / "results.csv"
+        run_batch(default_matrix(), out)
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        timing = {"t_initial_s", "t_br_s", "t_schedule_s", "t_total_s"}
+        keep = [i for i, column in enumerate(rows[0]) if column not in timing]
+        with open(golden_path, newline="") as fh:
+            golden = list(csv.reader(fh))
+        for lineno, (row, expected) in enumerate(zip(rows, golden), start=1):
+            assert [row[i] for i in keep] == expected, f"{golden_path.name}:{lineno} differs"
+        assert len(rows) == len(golden)
 
     def test_engine_overrides_in_matrix_cell(self, tmp_path):
         matrix = tiny_matrix()

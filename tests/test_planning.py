@@ -1,12 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from journeyshare.errors import ConsistencyError, InputError
-from journeyshare.planning import AgentRequest, Plan, graph_edge_cost, plan_cost, plan_individual
+from journeyshare import planning
+from journeyshare.best_response import DISCOUNT_SHARE, FLOOR_SHARE, JointPlan, occupancy_cost, shared_cost
+from journeyshare.errors import InputError
+from journeyshare.planning import AgentRequest, plan_individual
+from journeyshare.transit import UNREACHABLE
 
 from conftest import graph_of
-from oracle_utils import brute_force_best_path, random_digraph
+from oracle_utils import brute_force_best_path, random_digraph, uniform_cost_plan
 
 
 class TestPlanIndividual:
@@ -87,20 +92,114 @@ class TestPlanIndividual:
             assert (plan is not None) == (dest in seen)
 
 
-class TestPlanCost:
-    def test_empty_plan_is_zero(self, six_stop_graph):
-        plan = Plan(agent=1, legs=(), total_cost=0.0)
-        assert plan_cost(plan, graph_edge_cost(six_stop_graph)) == 0.0
+@st.composite
+def occupancy_searches(draw):
+    """A random digraph with small integer costs, so that equal-cost paths are
+    common, random edge users among N travellers, and one traveller's
+    origin-destination pair; most labelled edges carry all N travellers and so
+    cost exactly their floor."""
+    nodes = [f"n{i}" for i in range(draw(st.integers(2, 9)))]
+    pairs = [(a, b) for a in nodes for b in nodes if a != b]
+    edges = draw(st.dictionaries(st.sampled_from(pairs), st.integers(1, 4), min_size=1))
+    n_agents = draw(st.integers(1, 14))
+    everyone = frozenset(range(1, n_agents + 1))
+    users = st.one_of(st.just(everyone), st.frozensets(st.sampled_from(sorted(everyone)), min_size=1))
+    labels = draw(st.dictionaries(st.sampled_from(sorted(edges)), users))
+    agent = draw(st.sampled_from(sorted(everyone)))
+    origin, destination = draw(st.lists(st.sampled_from(nodes), min_size=2, max_size=2, unique=True))
+    graph = graph_of(edges, extra_nodes=set(nodes))
+    joint = JointPlan(edges=labels, per_agent={})
+    return graph, AgentRequest(agent, origin, destination), occupancy_cost(joint, agent, graph), n_agents
 
-    def test_single_leg_of_fifty(self, six_stop_graph):
-        plan = Plan(agent=1, legs=(("A", "B"),), total_cost=50.0)
-        assert plan_cost(plan, graph_edge_cost(six_stop_graph)) == 50.0
 
-    def test_multi_leg_manual_sum(self, six_stop_graph):
-        plan = Plan(agent=1, legs=(("C", "D"), ("D", "E"), ("E", "F")), total_cost=145.0)
-        assert plan_cost(plan, graph_edge_cost(six_stop_graph)) == 45 + 70 + 30
+class TestGoalDirected:
+    @settings(max_examples=400, deadline=None)
+    @given(occupancy_searches())
+    def test_same_plan_as_uniform_cost_search(self, search):
+        graph, request, cost, n_agents = search
+        floor = DISCOUNT_SHARE / n_agents + FLOOR_SHARE
+        plan = plan_individual(graph, request, cost, floor=floor)
+        oracle = uniform_cost_plan(graph, request, cost)
+        # Plan equality compares the legs and the total_cost floats with ==
+        assert plan == oracle
 
-    def test_missing_leg_raises_consistency_error(self, six_stop_graph):
-        plan = Plan(agent=1, legs=(("F", "A"),), total_cost=1.0)
-        with pytest.raises(ConsistencyError):
-            plan_cost(plan, graph_edge_cost(six_stop_graph))
+    def test_exact_ties_keep_the_uniform_cost_tie_break(self, monkeypatch):
+        # routes A-B-D-E and A-C-D-E both have base cost 5 and every edge
+        # costs its floor, so the two plans cost exactly the same
+        graph = graph_of({("A", "B"): 3, ("A", "C"): 1, ("B", "D"): 1, ("C", "D"): 3, ("D", "E"): 1})
+        n_agents = 5
+        floor = DISCOUNT_SHARE / n_agents + FLOOR_SHARE
+
+        def cost(edge):
+            return shared_cost(float(graph.edges[edge]), n_agents)
+
+        request = AgentRequest(1, "A", "E")
+        plan = plan_individual(graph, request, cost, floor=floor)
+        assert plan == uniform_cost_plan(graph, request, cost)
+        assert plan.stops() == ("A", "B", "D", "E")
+        # guided by the full floor, rounding of cost + estimate lets the
+        # lexicographically larger route pop first
+        monkeypatch.setattr(planning, "GUIDE_SLACK", 0.0)
+        assert plan_individual(graph, request, cost, floor=floor).stops() == ("A", "C", "D", "E")
+
+    def test_unreachable_origin_returns_none_without_searching(self):
+        graph = graph_of({("A", "B"): 5, ("B", "C"): 5, ("Z", "Y"): 1})
+        costed = []
+
+        def cost(edge):
+            costed.append(edge)
+            return float(graph.edges[edge])
+
+        assert plan_individual(graph, AgentRequest(1, "Z", "C"), cost, floor=1.0) is None
+        assert costed == []
+
+    def test_cost_below_floor_times_base_raises(self):
+        graph = graph_of({("A", "B"): 10, ("B", "C"): 10})
+        with pytest.raises(InputError, match="below 0.5 times its base cost"):
+            plan_individual(graph, AgentRequest(1, "A", "C"), lambda edge: 4.0, floor=0.5)
+        with pytest.raises(InputError, match="below 0.0 times its base cost"):
+            plan_individual(graph, AgentRequest(1, "A", "C"), lambda edge: -1.0)
+
+    def test_hand_built_graph(self):
+        graph = graph_of({("A", "B"): 4, ("B", "C"): 4, ("A", "C"): 10, ("C", "D"): 2})
+        request = AgentRequest(1, "A", "D")
+        plan = plan_individual(graph, request, lambda edge: 0.5 * graph.edges[edge], floor=0.5)
+        assert plan.stops() == ("A", "B", "C", "D")
+        assert plan.total_cost == 5.0
+        assert plan == uniform_cost_plan(graph, request, lambda edge: 0.5 * graph.edges[edge])
+
+
+class TestDistanceCache:
+    def test_distances_match_brute_force(self):
+        rng = random.Random(23)
+        for _ in range(60):
+            nodes, edges = random_digraph(rng, rng.randint(2, 8), edge_prob=rng.uniform(0.1, 0.5), max_cost=9)
+            graph = graph_of(edges, extra_nodes=set(nodes))
+            destination = rng.choice(nodes)
+            distance = graph.distances_to(destination)
+            for node in nodes:
+                if node == destination:
+                    expected = 0
+                else:
+                    oracle = brute_force_best_path(edges, node, destination, lambda e: edges[e])
+                    expected = UNREACHABLE if oracle is None else oracle[0]
+                assert distance[graph.positions[node]] == expected
+
+    def test_computed_once_per_destination(self):
+        graph = graph_of({("A", "B"): 1, ("B", "C"): 2})
+        assert graph.distances_to("C") is graph.distances_to("C")
+        assert list(graph.distances_to("B")) == [1, 0, UNREACHABLE]
+
+    def test_durations_beyond_64_bits(self):
+        graph = graph_of({("A", "B"): 10**19, ("B", "C"): 1, ("A", "C"): 10**20})
+        plan = plan_individual(graph, AgentRequest(1, "A", "C"))
+        assert plan.stops() == ("A", "B", "C")
+        assert plan == uniform_cost_plan(graph, AgentRequest(1, "A", "C"))
+
+    def test_cache_is_not_part_of_equality_or_repr(self):
+        edges = {("A", "B"): 1, ("B", "C"): 2}
+        warm, cold = graph_of(edges), graph_of(edges)
+        before = repr(warm)
+        warm.distances_to("C")
+        assert warm == cold
+        assert repr(warm) == before == repr(cold)
