@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import AbstractSet, Callable, Iterable, Mapping
 
 from .errors import InputError
 from .planning import AgentId, AgentRequest, Edge, Plan, plan_individual
@@ -36,9 +36,10 @@ def shared_cost(c_single: float, n: int) -> float:
 
 @dataclass(frozen=True)
 class JointPlan:
-    """Union of all travellers' plans; each edge is labelled with its users."""
+    """Union of all travellers' plans; each edge is labelled with its users,
+    as a frozenset except in the plan that run_br_phase edits."""
 
-    edges: Mapping[Edge, frozenset]
+    edges: Mapping[Edge, AbstractSet]
     per_agent: Mapping[AgentId, Plan]
 
     def to_dict(self) -> dict:
@@ -116,22 +117,6 @@ def best_response_step(joint: JointPlan, agent: AgentId, graph: RelaxedGraph) ->
     return best
 
 
-def _replace_plan(joint: JointPlan, agent: AgentId, new_plan: Plan) -> JointPlan:
-    edges: dict[Edge, set] = {leg: set(users) for leg, users in joint.edges.items()}
-    for leg in joint.per_agent[agent].legs:
-        edges[leg].discard(agent)
-        if not edges[leg]:
-            del edges[leg]
-    for leg in new_plan.legs:
-        edges.setdefault(leg, set()).add(agent)
-    per_agent = dict(joint.per_agent)
-    per_agent[agent] = new_plan
-    return JointPlan(
-        edges={leg: frozenset(users) for leg, users in edges.items()},
-        per_agent=per_agent,
-    )
-
-
 def run_br_phase(
     initial: Iterable[Plan],
     graph: RelaxedGraph,
@@ -144,21 +129,33 @@ def run_br_phase(
     current cost as raw floats: there is no epsilon, so float noise can count
     as an improvement.  A sweep without adoptions certifies that no unilateral
     improvement remains.  max_rounds caps pathological cases.
+
+    The phase edits one joint plan, with mutable labels, in place and
+    returns a fresh merge of its plans.  on_step gets that live plan after
+    every step: an observer that keeps it must copy it.
     """
-    joint = merge_plans(initial)
-    agents = sorted(joint.per_agent)
+    merged = merge_plans(initial)
+    edges = {leg: set(users) for leg, users in merged.edges.items()}
+    per_agent = dict(merged.per_agent)
+    joint = JointPlan(edges=edges, per_agent=per_agent)
+    agents = sorted(per_agent)
     for round_no in range(1, max_rounds + 1):
         improved = False
         for agent in agents:
             candidate = best_response_step(joint, agent, graph)
             if candidate.total_cost < agent_cost(joint, agent, graph):
-                joint = _replace_plan(joint, agent, candidate)
+                for leg in per_agent[agent].legs:
+                    edges[leg].discard(agent)
+                    if not edges[leg]:
+                        del edges[leg]
+                for leg in candidate.legs:
+                    edges.setdefault(leg, set()).add(agent)
+                per_agent[agent] = candidate
                 improved = True
             if on_step is not None:
                 on_step(joint)
         if not improved:
             logger.debug("best-response phase converged after %d sweep(s)", round_no)
-            return joint
+            return merge_plans(per_agent.values())
     logger.warning("best-response phase hit max_rounds=%d without converging", max_rounds)
-    return joint
-
+    return merge_plans(per_agent.values())

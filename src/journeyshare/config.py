@@ -1,8 +1,8 @@
 """key=value configuration file handling.
 
 The config format is deliberately tiny: one `key=value` per line, `#`
-comments and blank lines ignored.  Every value is a positive finite number.
-Recognised keys:
+comments and blank lines ignored.  Every value is a positive finite number;
+EngineConfig raises InputError for any other.  Recognised keys:
 
     walk.max_km            walking-link distance threshold (km)
     walk.speed_kmh         walking speed (km/h)
@@ -14,10 +14,10 @@ Recognised keys:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import ParseError, read_text
+from .errors import InputError, ParseError, read_text
 
 
 @dataclass(frozen=True)
@@ -27,6 +27,12 @@ class EngineConfig:
     sched_limit_small_s: float = 300.0
     sched_limit_medium_s: float = 600.0
     sched_limit_large_s: float = 900.0
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value > 0):
+                raise InputError(f"{f.name} must be a positive finite number, got {value!r}")
 
 
 _KEY_TO_FIELD = {

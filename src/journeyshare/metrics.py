@@ -1,5 +1,5 @@
-"""Evaluation quantities: relative cost improvement, journey prolongation,
-and timetable success rates by group size."""
+"""Evaluation quantities (relative cost improvement, journey prolongation)
+and the results.csv rows that record them per experiment and group."""
 
 from __future__ import annotations
 
@@ -13,8 +13,6 @@ from .errors import InputError
 from .planning import AgentId, Plan
 from .scheduling import Itinerary
 from .transit import RelaxedGraph
-
-PROLONGATION_THRESHOLD = 0.30
 
 RESULTS_COLUMNS = [
     "scenario",
@@ -100,49 +98,6 @@ def prolongation(
     if solo_total == 0:
         raise InputError("total solo duration is zero; prolongation undefined")
     return (group_total - solo_total) / solo_total
-
-
-def scenario_prolongation(result: ExperimentResult) -> float | None:
-    """Duration-weighted prolongation over the experiment's matched groups.
-
-    None when no group has a computable prolongation.
-    """
-    group_total = 0
-    solo_total = 0
-    for record in result.groups:
-        if record.delta_t is None:
-            continue
-        group_total += sum(record.group_durations.values())
-        solo_total += sum(record.solo_durations.values())
-    if solo_total == 0:
-        return None
-    return (group_total - solo_total) / solo_total
-
-
-def success_rates(results: Iterable[ExperimentResult]) -> dict[int, float]:
-    """Fraction of groups with a timetable, per group size."""
-    matched: dict[int, int] = {}
-    totals: dict[int, int] = {}
-    for result in results:
-        for record in result.groups:
-            totals[record.size] = totals.get(record.size, 0) + 1
-            if record.matched:
-                matched[record.size] = matched.get(record.size, 0) + 1
-    return {size: matched.get(size, 0) / totals[size] for size in sorted(totals)}
-
-
-def prolongation_threshold_share(
-    results: Iterable[ExperimentResult], threshold: float = PROLONGATION_THRESHOLD
-) -> dict[int, float]:
-    """Share of groups whose schedule prolongs the journey less than threshold."""
-    below: dict[int, int] = {}
-    totals: dict[int, int] = {}
-    for result in results:
-        for record in result.groups:
-            totals[record.size] = totals.get(record.size, 0) + 1
-            if record.delta_t is not None and record.delta_t < threshold:
-                below[record.size] = below.get(record.size, 0) + 1
-    return {size: below.get(size, 0) / totals[size] for size in sorted(totals)}
 
 
 def _format(value) -> str:

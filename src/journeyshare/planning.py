@@ -65,15 +65,6 @@ class Plan:
         }
 
 
-def graph_edge_cost(graph: RelaxedGraph) -> EdgeCost:
-    """Base cost function: each edge costs its minimal duration in minutes."""
-
-    def cost(edge: Edge) -> float:
-        return float(graph.edges[edge])
-
-    return cost
-
-
 def plan_individual(
     graph: RelaxedGraph,
     request: AgentRequest,
@@ -82,19 +73,18 @@ def plan_individual(
 ) -> Plan | None:
     """Minimum-cost simple path from origin to destination, or None.
 
-    Every edge must cost at least floor times its base cost (InputError
-    otherwise); the search is guided by just under floor times the base-cost
-    distance to the destination.  Ties are broken towards fewer legs, then the
-    lexicographically smallest stop sequence, so results are reproducible and
-    do not depend on floor.  Returns None, without searching, when the
-    destination is unreachable.
+    Without edge_cost, each edge costs its base cost, its minimal duration
+    in minutes.  Every edge must cost at least floor times its base cost
+    (InputError otherwise); the search is guided by just under floor times
+    the base-cost distance to the destination.  Ties are broken towards
+    fewer legs, then the lexicographically smallest stop sequence, so
+    results are reproducible and do not depend on floor.  Returns None,
+    without searching, when the destination is unreachable.
     """
     if request.origin not in graph.nodes:
         raise InputError(f"unknown origin stop {request.origin!r}")
     if request.destination not in graph.nodes:
         raise InputError(f"unknown destination stop {request.destination!r}")
-    if edge_cost is None:
-        edge_cost = graph_edge_cost(graph)
     names, position, out_edges = graph.names, graph.positions, graph.out_edges
     origin, destination = position[request.origin], position[request.destination]
     distance = graph.distances_to(request.destination)
@@ -126,9 +116,9 @@ def plan_individual(
             remaining = distance[succ]
             if remaining == UNREACHABLE:
                 continue
-            edge = (name, names[succ])
-            step = edge_cost(edge)
+            step = base if edge_cost is None else edge_cost((name, names[succ]))
             if step < floor * base:
+                edge = (name, names[succ])
                 raise InputError(f"edge cost {step} on {edge} is below {floor} times its base cost")
             g = cost + step
             heapq.heappush(heap, (g + guide * remaining, g, hops + 1, path + (succ,)))

@@ -59,21 +59,6 @@ def _departures(spec: SyntheticNetworkSpec, line_length: int, line_index: int) -
     return deps
 
 
-def expected_run_count(spec: SyntheticNetworkSpec) -> int:
-    """Closed-form run count: directions x lines x departures per orientation."""
-    count = 0
-    line_index = 0
-    if spec.height >= 2:
-        for _ in range(spec.width):
-            count += 2 * len(_departures(spec, spec.height, line_index))
-            line_index += 1
-    if spec.width >= 2:
-        for _ in range(spec.height):
-            count += 2 * len(_departures(spec, spec.width, line_index))
-            line_index += 1
-    return count
-
-
 def build_synthetic_network(spec: SyntheticNetworkSpec) -> TransitNetwork:
     """The grid of the spec as network objects; raises ValidationError when
     Stop's checks reject a stop or two grid cells share a stop id."""

@@ -14,7 +14,7 @@ import csv
 import heapq
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
@@ -154,10 +154,6 @@ class RelaxedGraph:
 
     nodes: frozenset[str]
     edges: Mapping[tuple[str, str], int]
-    out_neighbours: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
-
-    def neighbours(self, node: str) -> tuple[str, ...]:
-        return self.out_neighbours.get(node, ())
 
     @cached_property
     def names(self) -> tuple[str, ...]:
@@ -175,10 +171,10 @@ class RelaxedGraph:
         """Per node position, the (successor position, base cost) of its
         out-edges, successors in name order."""
         position = self.positions
-        return tuple(
-            tuple((position[succ], self.edges[(node, succ)]) for succ in self.neighbours(node))
-            for node in self.names
-        )
+        out: list[list[tuple[int, int]]] = [[] for _ in self.names]
+        for (node, succ), base in sorted(self.edges.items()):
+            out[position[node]].append((position[succ], base))
+        return tuple(map(tuple, out))
 
     @cached_property
     def _in_edges(self) -> list[list[tuple[int, int]]]:
@@ -440,13 +436,4 @@ def build_relaxed_graph(network: TransitNetwork) -> RelaxedGraph:
         if pair not in excluded:
             shortest[pair] = min(leg.duration, shortest.get(pair, leg.duration))
     edges = {pair: shortest[pair] for pair in sorted(shortest)}
-
-    out: dict[str, list[str]] = {}
-    for a, b in edges:
-        out.setdefault(a, []).append(b)
-    out_neighbours = {a: tuple(sorted(bs)) for a, bs in out.items()}
-    return RelaxedGraph(
-        nodes=frozenset(network.stops),
-        edges=edges,
-        out_neighbours=out_neighbours,
-    )
+    return RelaxedGraph(nodes=frozenset(network.stops), edges=edges)

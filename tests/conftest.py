@@ -27,16 +27,10 @@ SIX_STOP_TIMETABLE = [
 def graph_of(edges: dict[tuple[str, str], int], extra_nodes: set[str] = frozenset()) -> RelaxedGraph:
     """Build a relaxed graph directly from an edge-cost mapping."""
     nodes = set(extra_nodes)
-    out: dict[str, list[str]] = {}
     for (a, b), cost in edges.items():
         assert cost > 0
         nodes.update((a, b))
-        out.setdefault(a, []).append(b)
-    return RelaxedGraph(
-        nodes=frozenset(nodes),
-        edges=dict(edges),
-        out_neighbours={a: tuple(sorted(bs)) for a, bs in out.items()},
-    )
+    return RelaxedGraph(nodes=frozenset(nodes), edges=dict(edges))
 
 
 @pytest.fixture

@@ -16,7 +16,8 @@ from typing import Callable, Iterable
 
 from journeyshare.best_response import JointPlan, shared_cost
 from journeyshare.errors import InputError
-from journeyshare.planning import AgentRequest, EdgeCost, Plan, graph_edge_cost
+from journeyshare.metrics import ExperimentResult
+from journeyshare.planning import AgentRequest, EdgeCost, Plan
 from journeyshare.transit import RelaxedGraph
 
 
@@ -88,7 +89,8 @@ class UnionFind:
 # --- label-setting search oracle ------------------------------------------
 #
 # uniform_cost_plan is planning.plan_individual as it was before the search
-# became goal-directed, unchanged but for its name.
+# became goal-directed, unchanged but for its name and for building its own
+# adjacency and base costs from graph.edges.
 
 
 def uniform_cost_plan(
@@ -107,7 +109,10 @@ def uniform_cost_plan(
     if request.destination not in graph.nodes:
         raise InputError(f"unknown destination stop {request.destination!r}")
     if edge_cost is None:
-        edge_cost = graph_edge_cost(graph)
+        edge_cost = lambda edge: float(graph.edges[edge])
+    out: dict[str, list[str]] = {}
+    for a, b in sorted(graph.edges):
+        out.setdefault(a, []).append(b)
 
     # Labels are (cost, hops, path); edge costs are strictly positive, so the
     # first label settled at a node is its tie-broken optimum and optimal
@@ -124,7 +129,7 @@ def uniform_cost_plan(
         if node == request.destination:
             legs = tuple(zip(path, path[1:]))
             return Plan(agent=request.agent, legs=legs, total_cost=cost)
-        for succ in graph.neighbours(node):
+        for succ in out.get(node, ()):
             if succ in settled:
                 continue
             step = edge_cost((node, succ))
@@ -146,6 +151,18 @@ def rosenthal_potential(joint: JointPlan, graph: RelaxedGraph) -> float:
         for k in range(1, len(joint.edges[edge]) + 1):
             value += shared_cost(base, k)
     return value
+
+
+def success_rates(results: Iterable[ExperimentResult]) -> dict[int, float]:
+    """Fraction of groups with a timetable, per group size."""
+    matched: dict[int, int] = {}
+    totals: dict[int, int] = {}
+    for result in results:
+        for record in result.groups:
+            totals[record.size] = totals.get(record.size, 0) + 1
+            if record.matched:
+                matched[record.size] = matched.get(record.size, 0) + 1
+    return {size: matched.get(size, 0) / totals[size] for size in sorted(totals)}
 
 
 def random_digraph(rng: random.Random, n_nodes: int, edge_prob: float = 0.4, max_cost: int = 60):

@@ -21,7 +21,7 @@ from journeyshare.best_response import (
 )
 from journeyshare.experiments import default_matrix, run_batch
 from journeyshare.grouping import identify_groups, split_into_parts
-from journeyshare.metrics import RESULTS_COLUMNS, success_rates
+from journeyshare.metrics import RESULTS_COLUMNS
 from journeyshare.planning import AgentRequest, Plan, plan_individual
 from journeyshare.scheduling import schedule_group, time_limit_for
 from journeyshare.transit import DAY_MINUTES
@@ -33,6 +33,7 @@ from oracle_utils import (
     random_digraph,
     random_scheduling_instance,
     rosenthal_potential,
+    success_rates,
 )
 
 EPS = 1e-9

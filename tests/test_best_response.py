@@ -187,6 +187,40 @@ class TestRunBrPhase:
         assert joint.per_agent[1].stops() == ("C", "D", "E", "F")
         assert joint.per_agent[2].stops() == ("D", "E")
 
+    def test_on_step_sees_one_live_plan_and_the_result_is_a_copy(self):
+        graph = graph_of(
+            {("C", "D"): 45, ("D", "E"): 70, ("E", "F"): 30, ("D", "X"): 60, ("X", "E"): 60}
+        )
+        p1 = path_plan(1, ("C", "D", "E", "F"), graph)
+        p2 = path_plan(2, ("D", "X", "E"), graph)
+        seen = []
+
+        def observe(live):
+            assert live.edges == merge_plans(live.per_agent.values()).edges
+            seen.append(live)
+
+        joint = run_br_phase([p1, p2], graph, on_step=observe)
+        # two sweeps of two agents; agent 2 adopts the corridor in the first
+        assert len(seen) == 4
+        assert all(live is seen[0] for live in seen)
+        assert seen[0] is not joint
+        assert seen[0].edges == joint.edges
+        assert seen[0].per_agent == joint.per_agent
+
+    def test_returns_frozen_labels_equal_to_a_fresh_merge(self):
+        rng = random.Random(53)
+        adopted = 0
+        for _ in range(80):
+            graph, plans = self._random_instance(rng)
+            if len(plans) < 2:
+                continue
+            joint = run_br_phase(plans, graph)
+            assert all(type(users) is frozenset for users in joint.edges.values())
+            assert joint.edges == merge_plans(joint.per_agent.values()).edges
+            assert run_br_phase(plans, graph) == joint
+            adopted += any(joint.per_agent[plan.agent] != plan for plan in plans)
+        assert adopted >= 5
+
     def _random_instance(self, rng):
         nodes, edges = random_digraph(rng, rng.randint(4, 9), 0.4)
         graph = graph_of(edges, extra_nodes=set(nodes))
@@ -285,9 +319,7 @@ class TestRosenthalPotential:
                 gain = agent_cost(joint, plan.agent, graph) - step.total_cost
                 if gain > 1e-9:
                     checked += 1
-                    from journeyshare.best_response import _replace_plan
-
-                    after = _replace_plan(joint, plan.agent, step)
+                    after = merge_plans([step if p.agent == plan.agent else p for p in plans])
                     drop = rosenthal_potential(joint, graph) - rosenthal_potential(after, graph)
                     assert drop == pytest.approx(gain, rel=1e-9, abs=1e-9)
         assert checked >= 20

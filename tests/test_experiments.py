@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from journeyshare.config import EngineConfig
 from journeyshare.errors import ConsistencyError, InputError, ParseError, ScenarioError, ValidationError
 from journeyshare.experiments import (
     DEFAULT_SYNTH_SPEC,
@@ -23,7 +24,6 @@ from journeyshare.planning import AgentRequest
 from journeyshare.synth import (
     SyntheticNetworkSpec,
     build_synthetic_network,
-    expected_run_count,
     generate_synthetic_network,
 )
 from journeyshare.transit import haversine_km, load_network
@@ -44,8 +44,7 @@ class TestSyntheticNetwork:
         runs = net.runs()
         # formula: directions x orientations x lines x departures
         departures = (1440 - 90) // 30 + 1
-        assert expected_run_count(spec) == 2 * 2 * 10 * departures
-        assert len(runs) == expected_run_count(spec)
+        assert len(runs) == 2 * 2 * 10 * departures
 
     def test_single_corridor(self):
         spec = SyntheticNetworkSpec(width=1, height=2, headway_min=120, leg_min=15)
@@ -340,7 +339,13 @@ class TestRunBatch:
 
     def test_prepare_network_leaves_the_distance_cache_cold(self, grid_network):
         _, graph = prepare_network(grid_network)
-        assert set(vars(graph)) == {"nodes", "edges", "out_neighbours"}
+        assert set(vars(graph)) == {"nodes", "edges"}
+
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(EngineConfig)])
+    @pytest.mark.parametrize("value", [0, -5, float("nan"), float("inf")])
+    def test_engine_config_rejects_a_non_positive_or_non_finite_value(self, grid_network, key, value):
+        with pytest.raises(InputError, match=rf"^{key} must be a positive finite number"):
+            run_pipeline(grid_network, [AgentRequest(1, "S0000", "S0005")], config=EngineConfig(**{key: value}))
 
     @pytest.mark.parametrize("key", ["walk_max_km", "walk_speed_kmh", "sched_limit_small_s", "sched_limit_large_s"])
     @pytest.mark.parametrize("value", [0, -5, 0.0])

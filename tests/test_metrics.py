@@ -9,15 +9,12 @@ from journeyshare.metrics import (
     GroupRecord,
     cost_improvement,
     prolongation,
-    prolongation_threshold_share,
-    scenario_prolongation,
-    success_rates,
 )
 from journeyshare.planning import AgentRequest, Plan, plan_individual
 from journeyshare.scheduling import Itinerary, LegAssignment
 
 from conftest import graph_of
-from oracle_utils import random_digraph
+from oracle_utils import random_digraph, success_rates
 
 
 
@@ -131,40 +128,6 @@ class TestProlongation:
                 sum(i.duration for i in group.values()) - sum(i.duration for i in solo.values())
             ) / sum(i.duration for i in solo.values())
             assert prolongation(group, solo) == pytest.approx(expected, abs=1e-12)
-
-    def test_scenario_level_aggregate_is_duration_weighted(self):
-        result = ExperimentResult(
-            scenario="s",
-            n_agents=4,
-            direction="NS",
-            seed=0,
-            groups=[
-                GroupRecord(0, 2, True, False, {1: 120, 2: 130}, {1: 100, 2: 100}, delta_t=0.25),
-                GroupRecord(1, 1, True, False, {3: 300}, {3: 300}, delta_t=0.0),
-                GroupRecord(2, 2, False, False),  # unmatched, excluded
-            ],
-        )
-        # (250 + 300) / (200 + 300) - 1
-        assert scenario_prolongation(result) == pytest.approx(0.10)
-        assert scenario_prolongation(ExperimentResult("s", 2, "NS", 0)) is None
-
-    def test_threshold_classification(self):
-        results = [
-            ExperimentResult(
-                scenario="s",
-                n_agents=4,
-                direction="NS",
-                seed=0,
-                groups=[
-                    GroupRecord(0, 2, True, False, delta_t=0.10),
-                    GroupRecord(1, 2, True, False, delta_t=0.31),
-                    GroupRecord(2, 2, False, False, delta_t=None),
-                    GroupRecord(3, 3, True, False, delta_t=0.29),
-                ],
-            )
-        ]
-        share = prolongation_threshold_share(results, threshold=0.30)
-        assert share == {2: pytest.approx(1 / 3), 3: pytest.approx(1.0)}
 
 
 class TestSuccessRates:

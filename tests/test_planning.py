@@ -159,6 +159,10 @@ class TestGoalDirected:
             plan_individual(graph, AgentRequest(1, "A", "C"), lambda edge: 4.0, floor=0.5)
         with pytest.raises(InputError, match="below 0.0 times its base cost"):
             plan_individual(graph, AgentRequest(1, "A", "C"), lambda edge: -1.0)
+        # without edge_cost every edge costs its base cost, which a floor
+        # above 1 undercuts
+        with pytest.raises(InputError, match="below 1.5 times its base cost"):
+            plan_individual(graph, AgentRequest(1, "A", "C"), floor=1.5)
 
     def test_hand_built_graph(self):
         graph = graph_of({("A", "B"): 4, ("B", "C"): 4, ("A", "C"): 10, ("C", "D"): 2})
