@@ -18,6 +18,8 @@ from .transit import RelaxedGraph
 
 logger = logging.getLogger(__name__)
 
+# the sweep cap of run_br_phase, for pathological cases
+MAX_ROUNDS = 100
 
 # the share of an edge's solo cost that is split among its n users, and the
 # share every user pays regardless of group size
@@ -120,7 +122,6 @@ def best_response_step(joint: JointPlan, agent: AgentId, graph: RelaxedGraph) ->
 def run_br_phase(
     initial: Iterable[Plan],
     graph: RelaxedGraph,
-    max_rounds: int = 100,
     on_step: Callable[[JointPlan], None] | None = None,
 ) -> JointPlan:
     """Round-robin best-response sweeps until no traveller improves.
@@ -128,7 +129,7 @@ def run_br_phase(
     A plan change is adopted only when its cost is below the traveller's
     current cost as raw floats: there is no epsilon, so float noise can count
     as an improvement.  A sweep without adoptions certifies that no unilateral
-    improvement remains.  max_rounds caps pathological cases.
+    improvement remains.  MAX_ROUNDS caps the sweeps.
 
     The phase edits one joint plan, with mutable labels, in place and
     returns a fresh merge of its plans.  on_step gets that live plan after
@@ -139,7 +140,7 @@ def run_br_phase(
     per_agent = dict(merged.per_agent)
     joint = JointPlan(edges=edges, per_agent=per_agent)
     agents = sorted(per_agent)
-    for round_no in range(1, max_rounds + 1):
+    for round_no in range(1, MAX_ROUNDS + 1):
         improved = False
         for agent in agents:
             candidate = best_response_step(joint, agent, graph)
@@ -157,5 +158,5 @@ def run_br_phase(
         if not improved:
             logger.debug("best-response phase converged after %d sweep(s)", round_no)
             return merge_plans(per_agent.values())
-    logger.warning("best-response phase hit max_rounds=%d without converging", max_rounds)
+    logger.warning("best-response phase hit MAX_ROUNDS=%d without converging", MAX_ROUNDS)
     return merge_plans(per_agent.values())

@@ -16,7 +16,7 @@ import math
 import random
 import statistics
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -24,7 +24,7 @@ from .best_response import JointPlan, agent_cost, run_br_phase
 from .config import EngineConfig
 from .errors import ConsistencyError, InputError, JourneyShareError, ParseError, ScenarioError, csv_rows, read_text
 from .grouping import Group, Part, identify_groups, relevant_timetable, split_into_parts
-from .metrics import ExperimentResult, GroupRecord, cost_improvement, prolongation, write_results_csv
+from .metrics import RESULTS_COLUMNS, ExperimentResult, GroupRecord, cost_improvement, prolongation, write_results_csv
 from .planning import AgentId, AgentRequest, Plan, plan_individual
 from .scheduling import ScheduleResult, schedule_group, schedule_single_agent, time_limit_for
 from .synth import SyntheticNetworkSpec, build_synthetic_network
@@ -143,7 +143,6 @@ class PipelineArtifacts:
     groups: list[Group] = field(default_factory=list)
     parts: dict[int, list[Part]] = field(default_factory=dict)
     group_schedules: dict[int, ScheduleResult] = field(default_factory=dict)
-    solo: dict[AgentId, ScheduleResult] = field(default_factory=dict)
 
 
 def run_pipeline(
@@ -199,8 +198,6 @@ def run_pipeline(
     t0 = time.perf_counter()
     if artifacts.joint is not None:
         solo_limit = time_limit_for(1, config)
-        for agent in sorted(initial):
-            artifacts.solo[agent] = schedule_single_agent(initial[agent], prepared_network, solo_limit)
         artifacts.groups = identify_groups(artifacts.joint)
         for group in artifacts.groups:
             try:
@@ -212,7 +209,11 @@ def run_pipeline(
                 result.errors.append(f"group {group.id}: {exc}")
                 sched = ScheduleResult(schedule=None)
             artifacts.group_schedules[group.id] = sched
-            solo_itins = {a: artifacts.solo[a].itineraries.get(a) for a in sched.itineraries}
+            # the solo baselines, which only a matched group (one with itineraries) reads
+            solo_itins = {
+                a: schedule_single_agent(initial[a], prepared_network, solo_limit).itineraries.get(a)
+                for a in sched.itineraries
+            }
             result.groups.append(
                 GroupRecord(
                     group_id=group.id,
@@ -253,18 +254,7 @@ def default_matrix(
     spec = DEFAULT_SYNTH_SPEC
     return {
         "scenario": f"grid{spec.width}x{spec.height}",
-        "network": {
-            "synthetic": {
-                "width": spec.width,
-                "height": spec.height,
-                "spacing_km": spec.spacing_km,
-                "headway_min": spec.headway_min,
-                "leg_min": spec.leg_min,
-                "first_departure": spec.first_departure,
-                "last_arrival": spec.last_arrival,
-                "line_offset_min": spec.line_offset_min,
-            }
-        },
+        "network": {"synthetic": asdict(spec)},
         "agents": list(agents),
         "directions": list(DIRECTIONS),
         "seeds_per_direction": seeds_per_direction,
@@ -434,8 +424,6 @@ def _number(record: dict[str, str], col: str, where: str, kind=float):
 
 def validate_results_file(path: str | Path) -> int:
     """Re-check row-level invariants of a results.csv; returns the row count."""
-    from .metrics import RESULTS_COLUMNS
-
     with io.StringIO(read_text(path)) as fh:
         reader = csv_rows(fh, str(path))
         header = next(reader, None)

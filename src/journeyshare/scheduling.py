@@ -268,7 +268,8 @@ def schedule_group(
     topo = part_precedence(parts)
     by_id = {part.id: part for part in parts}
     chains = _agent_chains(parts)
-    solvers = {part.id: _PartSolver(part, tt) for part in parts}
+    # built as the forward pass reaches each part; the backward pass visits no other
+    solvers: dict[int, _PartSolver] = {}
 
     schedules: dict[int, PartSchedule] = {}
     try:
@@ -281,6 +282,7 @@ def schedule_group(
                     ready = max(ready, schedules[prev_pid].arrive)
             if ready >= DAY_MINUTES:
                 return ScheduleResult(schedule=None)
+            solvers[pid] = _PartSolver(part, tt)
             found = solvers[pid].earliest_arrival(ready, deadline)
             if found is None:
                 return ScheduleResult(schedule=None)

@@ -1,3 +1,4 @@
+import logging
 import random
 
 import pytest
@@ -206,6 +207,25 @@ class TestRunBrPhase:
         assert seen[0] is not joint
         assert seen[0].edges == joint.edges
         assert seen[0].per_agent == joint.per_agent
+
+    def test_sweep_cap_logs_and_returns_a_frozen_merge_of_the_capped_plans(self, monkeypatch, caplog):
+        from journeyshare import best_response
+
+        monkeypatch.setattr(best_response, "MAX_ROUNDS", 1)
+        graph = graph_of(
+            {("C", "D"): 45, ("D", "E"): 70, ("E", "F"): 30, ("D", "X"): 60, ("X", "E"): 60}
+        )
+        p1 = path_plan(1, ("C", "D", "E", "F"), graph)
+        p2 = path_plan(2, ("D", "X", "E"), graph)
+        after_sweep = []
+        with caplog.at_level(logging.WARNING, logger="journeyshare.best_response"):
+            joint = run_br_phase([p1, p2], graph, on_step=lambda live: after_sweep.append(dict(live.per_agent)))
+        assert "hit MAX_ROUNDS=1 without converging" in caplog.text
+        # agent 2 adopts the corridor in the first sweep, so a second one was due
+        assert len(after_sweep) == 2
+        assert after_sweep[-1][2].stops() == ("D", "E")
+        assert all(type(users) is frozenset for users in joint.edges.values())
+        assert joint == merge_plans(after_sweep[-1].values())
 
     def test_returns_frozen_labels_equal_to_a_fresh_merge(self):
         rng = random.Random(53)

@@ -159,6 +159,16 @@ class TestGenerateRequests:
             admissible_pairs(grid_network, "UP")
 
 
+def count_solo_baselines(monkeypatch) -> list:
+    """The arguments of every solo-baseline call run_pipeline makes from now on."""
+    from journeyshare import experiments
+
+    calls = []
+    original = experiments.schedule_single_agent
+    monkeypatch.setattr(experiments, "schedule_single_agent", lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
 class TestRunPipeline:
     def test_single_agent_degenerate_case(self, grid_network):
         requests = [AgentRequest(agent=1, origin="S0000", destination="S0007")]
@@ -231,6 +241,37 @@ class TestRunPipeline:
         modes = [leg.mode for leg in itin.legs]
         assert modes == ["service", "walk", "service"]
         assert itin.legs[1].from_stop == "C" and itin.legs[1].to_stop == "D"
+
+    def test_failed_group_records_its_error_and_schedules_no_solo_baseline(self, monkeypatch):
+        # one circular line A-B-C-D-A: 1 rides A-D and 2 rides C-B, so they
+        # share A-B and C-D, which 1 rides in that order and 2 the other way round
+        stops = [
+            "stop_id,name,lat,lon,mode",
+            "A,Ash,55.0,-3.0,rail",
+            "B,Bay,55.0,-2.5,rail",
+            "C,Cove,55.5,-2.5,rail",
+            "D,Dun,55.5,-3.0,rail",
+        ]
+        tt = ["service_id,run_id,seq,from_stop,to_stop,departure_min,duration_min"]
+        for run, start in (("L1a", 60), ("L1b", 400)):
+            for seq, (a, b) in enumerate(zip("ABCD", "BCDA"), start=1):
+                tt.append(f"L1,{run},{seq},{a},{b},{start + 40 * (seq - 1)},30")
+        net = load_network(stops, tt)
+        calls = count_solo_baselines(monkeypatch)
+        requests = [AgentRequest(1, "A", "D"), AgentRequest(2, "C", "B")]
+        result = run_pipeline(net, requests).result
+        assert result.errors == ["group 0: part precedence contains a cycle"]
+        assert [(g.size, g.matched) for g in result.groups] == [(2, False)]
+        assert calls == []
+
+    def test_solo_baselines_only_for_members_of_matched_groups(self, monkeypatch):
+        calls = count_solo_baselines(monkeypatch)
+        results = run_batch(default_matrix(agents=(6, 14), seeds_per_direction=1))
+        groups = [group for result in results for group in result.groups]
+        matched = sum(group.size for group in groups if group.matched)
+        assert len(calls) == matched
+        # some travellers are in unmatched groups, so this is not everyone
+        assert matched < sum(group.size for group in groups)
 
     def test_duplicate_agent_ids_rejected(self, grid_network):
         requests = [AgentRequest(1, "S0105", "S0100"), AgentRequest(1, "S0104", "S0101")]

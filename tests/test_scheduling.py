@@ -206,6 +206,27 @@ class TestScheduleGroup:
         result = schedule_group(parts, tt)
         assert not result.feasible and not result.timed_out
 
+    def test_part_solver_built_only_when_the_forward_pass_reaches_it(self, monkeypatch):
+        from journeyshare import scheduling
+
+        built = []
+
+        class CountingSolver(scheduling._PartSolver):
+            def __init__(self, part, tt):
+                built.append(part.id)
+                super().__init__(part, tt)
+
+        monkeypatch.setattr(scheduling, "_PartSolver", CountingSolver)
+        # 1 and 2 share A-B, then 1 rides on to C alone; nothing serves A-B
+        group = identify_groups(merge_plans([path_plan(1, ("A", "B", "C")), path_plan(2, ("A", "B"))]))[0]
+        parts = split_into_parts(group)
+        assert len(parts) == 2
+        tt = TransitNetwork({}, connections=(conn("SC", "RC", 1, "B", "C", 100, 10),))
+        result = schedule_group(parts, tt)
+        assert not result.feasible and not result.timed_out
+        assert len(built) == 1
+        assert next(p for p in parts if p.id == built[0]).stops == ("A", "B")
+
     def test_timeout_reported_distinctly(self):
         parts = two_agent_parts()
         result = schedule_group(parts, TransitNetwork({}, ()), time_limit_s=0.0)
