@@ -1,9 +1,11 @@
 """Joint-plan merging and best-response optimisation under group discounts.
 
 Sharing an edge with n-1 others cuts the edge cost to (0.8/n + 0.2) of the
-solo duration.  Round-robin best-response replanning under that cost is a
-congestion game with a Rosenthal-style potential, so it settles in a state
-where no traveller can lower their own cost by rerouting alone.
+solo duration (planning.shared_cost).  A best-response step is one
+plan_individual search that prices edges from the joint plan's labels.
+Round-robin best-response replanning under that cost is a congestion game
+with a Rosenthal-style potential, so it settles in a state where no traveller
+can lower their own cost by rerouting alone.
 """
 
 from __future__ import annotations
@@ -13,27 +15,13 @@ from dataclasses import dataclass
 from typing import AbstractSet, Callable, Iterable, Mapping
 
 from .errors import InputError
-from .planning import AgentId, AgentRequest, Edge, Plan, plan_individual
+from .planning import DISCOUNT_SHARE, FLOOR_SHARE, AgentId, AgentRequest, Edge, Plan, plan_individual, shared_cost
 from .transit import RelaxedGraph
 
 logger = logging.getLogger(__name__)
 
 # the sweep cap of run_br_phase, for pathological cases
 MAX_ROUNDS = 100
-
-# the share of an edge's solo cost that is split among its n users, and the
-# share every user pays regardless of group size
-DISCOUNT_SHARE = 0.8
-FLOOR_SHARE = 0.2
-
-
-def shared_cost(c_single: float, n: int) -> float:
-    """Cost per traveller of an edge of solo cost c_single in a group of n."""
-    if n < 1:
-        raise InputError(f"group size must be >= 1, got {n}")
-    if c_single < 0:
-        raise InputError("cost must be nonnegative")
-    return (DISCOUNT_SHARE / n + FLOOR_SHARE) * c_single
 
 
 @dataclass(frozen=True)
@@ -88,17 +76,6 @@ def agent_cost(joint: JointPlan, agent: AgentId, graph: RelaxedGraph) -> float:
     return total
 
 
-def occupancy_cost(joint: JointPlan, agent: AgentId, graph: RelaxedGraph) -> Callable[[Edge], float]:
-    """Edge costs the agent faces when replanning while everyone else stays put."""
-
-    def cost(edge: Edge) -> float:
-        users = joint.edges.get(edge, frozenset())
-        # the group on the edge is its users with the agent added
-        return shared_cost(float(graph.edges[edge]), len(users) + (agent not in users))
-
-    return cost
-
-
 def best_response_step(joint: JointPlan, agent: AgentId, graph: RelaxedGraph) -> Plan:
     """The agent's cheapest route against the others' fixed routes.
 
@@ -112,7 +89,7 @@ def best_response_step(joint: JointPlan, agent: AgentId, graph: RelaxedGraph) ->
     # an edge has at most all N travellers on it, so none costs less than this
     # share of its base cost
     floor = DISCOUNT_SHARE / len(joint.per_agent) + FLOOR_SHARE
-    best = plan_individual(graph, request, occupancy_cost(joint, agent, graph), floor=floor)
+    best = plan_individual(graph, request, joint.edges, floor=floor)
     if best is None:
         logger.warning("agent %r has no route in best-response step; keeping current plan", agent)
         return current

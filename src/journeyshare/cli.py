@@ -17,6 +17,7 @@ import json
 import logging
 import sys
 from pathlib import Path
+from typing import Container
 
 from .config import EngineConfig, load_config
 from .errors import ConsistencyError, InputError, JourneyShareError, ParseError, csv_rows, read_text
@@ -30,7 +31,8 @@ from .transit import load_network
 logger = logging.getLogger(__name__)
 
 
-def load_requests(path: str | Path) -> list[AgentRequest]:
+def load_requests(path: str | Path, stops: Container[str]) -> list[AgentRequest]:
+    """The file's requests; ParseError at path:line for a bad row or a stop not in stops."""
     with io.StringIO(read_text(path)) as fh:
         reader = csv_rows(fh, str(path))
         header = next(reader, None)
@@ -51,12 +53,15 @@ def load_requests(path: str | Path) -> list[AgentRequest]:
                 requests.append(AgentRequest(agent=agent, origin=origin, destination=destination))
             except InputError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            for kind, stop in (("origin", origin), ("destination", destination)):
+                if stop not in stops:
+                    raise ParseError(f"{path}:{lineno}: unknown {kind} stop {stop!r}")
     return requests
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     network = load_network(args.stops, args.timetable)
-    requests = load_requests(args.requests)
+    requests = load_requests(args.requests, network.stops)
     config = load_config(args.config) if args.config else EngineConfig()
     artifacts = run_pipeline(network, requests, config=config)
     result = artifacts.result

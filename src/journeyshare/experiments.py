@@ -190,7 +190,7 @@ def run_pipeline(
         for agent in sorted(initial):
             result.shared_costs[agent] = agent_cost(joint, agent, graph)
         try:
-            result.delta_c = cost_improvement(initial.values(), joint, graph)
+            result.delta_c = cost_improvement(result.initial_costs, result.shared_costs)
         except InputError as exc:
             result.errors.append(f"cost improvement: {exc}")
     result.timings["br"] = time.perf_counter() - t0
@@ -444,7 +444,7 @@ def validate_results_file(path: str | Path) -> int:
                 raise ConsistencyError(f"{path}:{lineno}: summary row carries group fields")
             if not is_summary:
                 if record["matched"] not in ("0", "1") or record["timed_out"] not in ("0", "1"):
-                    raise ConsistencyError(f"{path}:{lineno}: matched/timed_out must be  0 or 1")
+                    raise ConsistencyError(f"{path}:{lineno}: matched/timed_out must be 0 or 1")
                 if record["matched"] == "1" and record["timed_out"] == "1":
                     raise ConsistencyError(f"{path}:{lineno}: timed-out group marked matched")
                 if record["delta_t"]:

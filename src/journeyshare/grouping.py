@@ -1,10 +1,12 @@
 """Decomposition of a converged joint plan for timetable matching.
 
-Travellers that share no edges, directly or transitively, can be timetabled
-independently; within one such group, the journey splits into parts, maximal
-chains travelled by one fixed set of agents.  The relevant timetable for a
-group keeps only services that connect stops of one part in travel direction,
-which admits direct trains over a stopping route.
+A group is a weakly connected component of the joint plan's edges: travellers
+whose routes meet at a stop, directly or transitively, share a group even
+when they share no edge, and each group is timetabled independently.  Within
+a group, the journey splits into parts, maximal chains travelled by one fixed
+set of agents.  The relevant timetable for a group keeps only services that
+connect stops of one part in travel direction, which admits direct trains
+over a stopping route.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from .transit import TimetabledConnection, TransitNetwork, WalkingLink
 
 @dataclass(frozen=True)
 class Group:
-    """A connected, edge-disjoint chunk of the joint plan."""
+    """A weakly connected component of the joint plan: its travellers' routes
+    are linked through shared stops, not necessarily through shared edges."""
 
     id: int
     agents: frozenset

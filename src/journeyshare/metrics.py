@@ -8,11 +8,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .best_response import JointPlan, agent_cost
 from .errors import InputError
-from .planning import AgentId, Plan
+from .planning import AgentId
 from .scheduling import Itinerary
-from .transit import RelaxedGraph
 
 RESULTS_COLUMNS = [
     "scenario",
@@ -60,20 +58,19 @@ class ExperimentResult:
     errors: list[str] = field(default_factory=list)
 
 
-def cost_improvement(initial: Iterable[Plan], joint: JointPlan, graph: RelaxedGraph) -> float:
+def cost_improvement(initial_costs: Mapping[AgentId, float], shared_costs: Mapping[AgentId, float]) -> float:
     """Relative saving of the shared joint plan over the solo plans.
 
-    (sum of solo costs - sum of discounted costs) / sum of solo costs; agents
-    are matched by id, and both sums run over the same agents.
+    (sum of solo costs - sum of discounted costs) / sum of solo costs, both
+    summed in agent order over the same agents.
     """
-    initial_by_agent = {plan.agent: plan for plan in initial}
-    if set(initial_by_agent) != set(joint.per_agent):
-        raise InputError("initial plans and joint plan cover different agents")
+    if set(initial_costs) != set(shared_costs):
+        raise InputError("solo and shared costs cover different agents")
     solo_total = 0.0
     shared_total = 0.0
-    for agent in sorted(initial_by_agent):
-        solo_total += initial_by_agent[agent].total_cost
-        shared_total += agent_cost(joint, agent, graph)
+    for agent in sorted(initial_costs):
+        solo_total += initial_costs[agent]
+        shared_total += shared_costs[agent]
     if solo_total == 0.0:
         raise InputError("total initial cost is zero; improvement undefined")
     return (solo_total - shared_total) / solo_total

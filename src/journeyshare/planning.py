@@ -1,25 +1,30 @@
 """Single-traveller route planning on the relaxed graph.
 
 plan_individual is an A* search (Hart, Nilsson & Raphael, 1968) returning a
-cost-optimal simple path.  It also serves as the inner solver for
-best-response replanning, which swaps in a different edge-cost function and a
-floor share of the base cost that no edge undercuts; the floor times the
-base-cost distance to the destination is then an admissible, consistent
-heuristic.  With floor 0 the search is uniform-cost.
+cost-optimal simple path, pricing each edge at its shared_cost among the
+travellers riding it.  Solo routes have no riders; best-response replanning
+passes the joint plan's edge labels and a floor share of the base cost that
+no edge undercuts, so the floor times the base-cost distance to the
+destination is an admissible, consistent heuristic.  With floor 0 the search
+is uniform-cost.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Hashable
+from typing import AbstractSet, Hashable, Mapping
 
 from .errors import InputError
 from .transit import UNREACHABLE, RelaxedGraph
 
 AgentId = Hashable
 Edge = tuple[str, str]
-EdgeCost = Callable[[Edge], float]
+
+# the share of an edge's solo cost that is split among its n users, and the
+# share every user pays regardless of group size
+DISCOUNT_SHARE = 0.8
+FLOOR_SHARE = 0.2
 
 # The search is guided by (1 - GUIDE_SLACK) * floor * distance.  With the full
 # floor, edges whose cost equals floor times their base cost add nothing to the
@@ -29,6 +34,15 @@ EdgeCost = Callable[[Edge], float]
 # cost, far above the rounding error of the sums, so the search returns what
 # uniform-cost search returns.
 GUIDE_SLACK = 1e-6
+
+
+def shared_cost(c_single: float, n: int) -> float:
+    """Cost per traveller of an edge of solo cost c_single in a group of n."""
+    if n < 1:
+        raise InputError(f"group size must be >= 1, got {n}")
+    if c_single < 0:
+        raise InputError("cost must be nonnegative")
+    return (DISCOUNT_SHARE / n + FLOOR_SHARE) * c_single
 
 
 @dataclass(frozen=True)
@@ -68,24 +82,26 @@ class Plan:
 def plan_individual(
     graph: RelaxedGraph,
     request: AgentRequest,
-    edge_cost: EdgeCost | None = None,
+    riders: Mapping[Edge, AbstractSet[AgentId]] = {},
     floor: float = 0.0,
 ) -> Plan | None:
     """Minimum-cost simple path from origin to destination, or None.
 
-    Without edge_cost, each edge costs its base cost, its minimal duration
-    in minutes.  Every edge must cost at least floor times its base cost
-    (InputError otherwise); the search is guided by just under floor times
-    the base-cost distance to the destination.  Ties are broken towards
-    fewer legs, then the lexicographically smallest stop sequence, so
-    results are reproducible and do not depend on floor.  Returns None,
-    without searching, when the destination is unreachable.
+    riders labels edges with their travellers, as JointPlan.edges does; an
+    edge costs shared_cost of its base cost (its minimal duration in minutes)
+    among its riders and the traveller, so the base cost without riders.
+    Every edge must cost at least floor times its base cost (InputError
+    otherwise); the search is guided by just under floor times the base-cost
+    distance to the destination.  Ties are broken towards fewer legs, then
+    the lexicographically smallest stop sequence, so results are
+    reproducible and do not depend on floor.  Returns None, without
+    searching, when the destination is unreachable.
     """
     if request.origin not in graph.nodes:
         raise InputError(f"unknown origin stop {request.origin!r}")
     if request.destination not in graph.nodes:
         raise InputError(f"unknown destination stop {request.destination!r}")
-    names, position, out_edges = graph.names, graph.positions, graph.out_edges
+    agent, names, position, out_edges = request.agent, graph.names, graph.positions, graph.out_edges
     origin, destination = position[request.origin], position[request.destination]
     distance = graph.distances_to(request.destination)
     if distance[origin] == UNREACHABLE:
@@ -108,7 +124,7 @@ def plan_individual(
         settled[node] = 1
         if node == destination:
             stops = [names[i] for i in path]
-            return Plan(agent=request.agent, legs=tuple(zip(stops, stops[1:])), total_cost=cost)
+            return Plan(agent=agent, legs=tuple(zip(stops, stops[1:])), total_cost=cost)
         name = names[node]
         for succ, base in out_edges[node]:
             if settled[succ]:
@@ -116,9 +132,10 @@ def plan_individual(
             remaining = distance[succ]
             if remaining == UNREACHABLE:
                 continue
-            step = base if edge_cost is None else edge_cost((name, names[succ]))
+            edge = (name, names[succ])
+            users = riders.get(edge, ())
+            step = shared_cost(base, len(users) + (agent not in users))
             if step < floor * base:
-                edge = (name, names[succ])
                 raise InputError(f"edge cost {step} on {edge} is below {floor} times its base cost")
             g = cost + step
             heapq.heappush(heap, (g + guide * remaining, g, hops + 1, path + (succ,)))

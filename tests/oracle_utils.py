@@ -17,7 +17,7 @@ from typing import Callable, Iterable
 from journeyshare.best_response import JointPlan, shared_cost
 from journeyshare.errors import InputError
 from journeyshare.metrics import ExperimentResult
-from journeyshare.planning import AgentRequest, EdgeCost, Plan
+from journeyshare.planning import AgentId, AgentRequest, Edge, Plan
 from journeyshare.transit import RelaxedGraph
 
 
@@ -96,7 +96,7 @@ class UnionFind:
 def uniform_cost_plan(
     graph: RelaxedGraph,
     request: AgentRequest,
-    edge_cost: EdgeCost | None = None,
+    edge_cost: Callable[[Edge], float] | None = None,
 ) -> Plan | None:
     """Minimum-cost simple path from origin to destination, or None.
 
@@ -137,6 +137,21 @@ def uniform_cost_plan(
                 raise InputError(f"negative edge cost on {(node, succ)}")
             heapq.heappush(heap, (cost + step, hops + 1, path + (succ,)))
     return None
+
+
+def occupancy_cost(joint: JointPlan, agent: AgentId, graph: RelaxedGraph) -> Callable[[Edge], float]:
+    """Edge costs the agent faces when replanning while everyone else stays put.
+
+    Written apart from the planner's own rider pricing, so that the oracles
+    can check it.
+    """
+
+    def cost(edge: Edge) -> float:
+        users = joint.edges.get(edge, frozenset())
+        # the group on the edge is its users with the agent added
+        return shared_cost(float(graph.edges[edge]), len(users) + (agent not in users))
+
+    return cost
 
 
 def rosenthal_potential(joint: JointPlan, graph: RelaxedGraph) -> float:

@@ -15,7 +15,6 @@ from journeyshare.best_response import (
     agent_cost,
     best_response_step,
     merge_plans,
-    occupancy_cost,
     run_br_phase,
     shared_cost,
 )
@@ -29,6 +28,7 @@ from journeyshare.transit import DAY_MINUTES
 from conftest import graph_of
 from oracle_utils import (
     brute_force_best_path,
+    occupancy_cost,
     oracle_agent_durations,
     random_digraph,
     random_scheduling_instance,

@@ -11,7 +11,6 @@ from journeyshare.best_response import (
     agent_cost,
     best_response_step,
     merge_plans,
-    occupancy_cost,
     run_br_phase,
     shared_cost,
 )
@@ -19,7 +18,7 @@ from journeyshare.errors import InputError
 from journeyshare.planning import AgentRequest, Plan, plan_individual
 
 from conftest import graph_of
-from oracle_utils import brute_force_best_path, random_digraph, rosenthal_potential
+from oracle_utils import brute_force_best_path, occupancy_cost, random_digraph, rosenthal_potential
 
 
 

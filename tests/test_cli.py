@@ -71,16 +71,22 @@ class TestPlanCommand:
 
     def test_missing_stop_is_input_error(self, grid_dir, tmp_path, capsys):
         requests = tmp_path / "requests.csv"
-        write_requests(requests, ["a1,NOPE,S0100"])
-        code = main(
-            [
-                "plan",
-                "--stops", str(grid_dir / "stops.csv"),
-                "--timetable", str(grid_dir / "timetable.csv"),
-                "--requests", str(requests),
-            ]
-        )
-        assert code == 1
+        cases = [
+            (["a1,NOPE,S0100"], "2: unknown origin stop 'NOPE'"),
+            (["a1,S0105,S0100", "a2,S0104,NOPE"], "3: unknown destination stop 'NOPE'"),
+        ]
+        for rows, message in cases:
+            write_requests(requests, rows)
+            code = main(
+                [
+                    "plan",
+                    "--stops", str(grid_dir / "stops.csv"),
+                    "--timetable", str(grid_dir / "timetable.csv"),
+                    "--requests", str(requests),
+                ]
+            )
+            assert code == 1
+            assert f"error: {requests}:{message}" in capsys.readouterr().err
 
     def test_bad_requests_header(self, grid_dir, tmp_path):
         requests = tmp_path / "requests.csv"
@@ -288,6 +294,15 @@ class TestExperimentAndValidate:
         code = main(["validate", "--results", str(bad)])
         assert code == 2
         assert f"{bad}:2: timed-out group marked matched" in capsys.readouterr().err
+
+    def test_validate_matched_outside_0_1_exits_2(self, tmp_path, capsys):
+        from journeyshare.metrics import RESULTS_COLUMNS
+
+        bad = tmp_path / "results.csv"
+        bad.write_text(",".join(RESULTS_COLUMNS) + "\ns,2,NS,1,0.5,0,2,2,0,,0.1,0.1,0.1,0.3\n")
+        code = main(["validate", "--results", str(bad)])
+        assert code == 2
+        assert f"{bad}:2: matched/timed_out must be 0 or 1" in capsys.readouterr().err
 
     def test_malformed_matrix_json_is_input_error(self, tmp_path, capsys):
         matrix_path = tmp_path / "matrix.json"

@@ -31,6 +31,24 @@ from journeyshare.transit import haversine_km, load_network
 GRID = SyntheticNetworkSpec(width=6, height=8, spacing_km=8.0, headway_min=60, leg_min=10)
 
 
+# (matrix, golden results.csv in tests/data) pairs; the dense grid is the
+# 20x40 grid at headway 60, where slicing and scheduling dominate
+GOLDEN_BATCHES = [
+    (default_matrix(), "default_batch.csv"),
+    (
+        {
+            "scenario": "grid20x40",
+            "network": {"synthetic": {"width": 20, "height": 40, "headway_min": 60}},
+            "agents": [14],
+            "directions": ["NS", "WE"],
+            "seeds_per_direction": 1,
+            "base_seed": 7000,
+        },
+        "dense_batch.csv",
+    ),
+]
+
+
 @pytest.fixture(scope="module")
 def grid_network():
     return build_synthetic_network(GRID)
@@ -396,13 +414,16 @@ class TestRunBatch:
         with pytest.raises(InputError, match=rf"matrix cell 1 \(scenario 't'\): engine\.{key} must be positive"):
             run_batch([runs_nothing, bad])
 
-    def test_default_batch_matches_golden_output(self, tmp_path):
-        """The default matrix's results.csv, timing columns aside, equals
-        tests/data/default_batch.csv.  A change that alters plans on purpose
-        rewrites that file from run_batch(default_matrix()) and says so."""
-        golden_path = Path(__file__).parent / "data" / "default_batch.csv"
+    @pytest.mark.parametrize("matrix, golden", GOLDEN_BATCHES, ids=["default", "dense"])
+    def test_default_batch_matches_golden_output(self, tmp_path, matrix, golden):
+        """A batch's results.csv, timing columns aside, equals its golden
+        copy in tests/data: the default matrix's default_batch.csv, and
+        dense_batch.csv for two experiments on a 60,000-connection grid.  A
+        change that alters plans on purpose rewrites these files from
+        run_batch and says so."""
+        golden_path = Path(__file__).parent / "data" / golden
         out = tmp_path / "results.csv"
-        run_batch(default_matrix(), out)
+        run_batch(matrix, out)
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
         timing = {"t_initial_s", "t_br_s", "t_schedule_s", "t_total_s"}

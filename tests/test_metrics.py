@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from journeyshare.best_response import merge_plans, run_br_phase
+from journeyshare.best_response import agent_cost, merge_plans, run_br_phase
 from journeyshare.errors import InputError
 from journeyshare.metrics import (
     ExperimentResult,
@@ -28,38 +28,44 @@ def itinerary(agent, depart, arrive) -> Itinerary:
     return Itinerary(agent=agent, legs=(leg,), depart=depart, arrive=arrive)
 
 
+def costs(plans, joint, graph):
+    """The solo and shared cost per agent, as run_pipeline records them."""
+    return {p.agent: p.total_cost for p in plans}, {a: agent_cost(joint, a, graph) for a in joint.per_agent}
+
+
 class TestCostImprovement:
     def test_no_sharing_gives_zero(self):
         graph = graph_of({("A", "B"): 10, ("X", "Y"): 20})
         plans = [path_plan(1, ("A", "B"), graph), path_plan(2, ("X", "Y"), graph)]
         joint = merge_plans(plans)
-        assert cost_improvement(plans, joint, graph) == 0.0
+        assert cost_improvement(*costs(plans, joint, graph)) == 0.0
 
     def test_two_identical_routes_save_forty_percent(self):
         graph = graph_of({("A", "B"): 50, ("B", "C"): 50})
         plans = [path_plan(a, ("A", "B", "C"), graph) for a in (1, 2)]
         joint = merge_plans(plans)
-        assert cost_improvement(plans, joint, graph) == pytest.approx(0.4)
+        assert cost_improvement(*costs(plans, joint, graph)) == pytest.approx(0.4)
 
     def test_three_identical_routes_save_53_percent(self):
         graph = graph_of({("A", "B"): 100})
         plans = [path_plan(a, ("A", "B"), graph) for a in (1, 2, 3)]
         joint = merge_plans(plans)
-        assert cost_improvement(plans, joint, graph) == pytest.approx(1 - (0.8 / 3 + 0.2))
+        assert cost_improvement(*costs(plans, joint, graph)) == pytest.approx(1 - (0.8 / 3 + 0.2))
 
     def test_zero_total_cost_is_an_error(self):
-        graph = graph_of({("A", "B"): 1})
-        stale = Plan(agent=1, legs=(("A", "B"),), total_cost=0.0)
-        joint = merge_plans([stale])
         with pytest.raises(InputError, match="zero"):
-            cost_improvement([stale], joint, graph)
+            cost_improvement({1: 0.0}, {1: 0.0})
 
     def test_mismatched_agent_sets_rejected(self):
-        graph = graph_of({("A", "B"): 10})
-        p1 = path_plan(1, ("A", "B"), graph)
-        joint = merge_plans([p1])
         with pytest.raises(InputError, match="different agents"):
-            cost_improvement([p1, path_plan(2, ("A", "B"), graph)], joint, graph)
+            cost_improvement({1: 10.0, 2: 10.0}, {1: 10.0})
+
+    def test_sums_in_agent_order(self):
+        # 1e16 + 1 + 1 rounds to 1e16 one term at a time, but 1 + 1 + 1e16
+        # does not: the sums run in sorted agent order, whatever the key order
+        initial = {3: 1e16, 1: 1.0, 2: 1.0}
+        shared = {3: 1e16, 2: 0.5, 1: 0.5}
+        assert cost_improvement(initial, shared) == (1.0 + 1.0 + 1e16 - (0.5 + 0.5 + 1e16)) / (1.0 + 1.0 + 1e16)
 
     def test_improvement_grows_when_a_label_grows(self):
         # a third traveller joining one edge of a fixed joint plan raises dC
@@ -67,10 +73,10 @@ class TestCostImprovement:
         p1 = path_plan(1, ("A", "B", "C"), graph)
         p2 = path_plan(2, ("A", "B", "C"), graph)
         before_plans = [p1, p2]
-        before = cost_improvement(before_plans, merge_plans(before_plans), graph)
+        before = cost_improvement(*costs(before_plans, merge_plans(before_plans), graph))
         p3 = path_plan(3, ("A", "B"), graph)
         after_plans = [p1, p2, p3]
-        after = cost_improvement(after_plans, merge_plans(after_plans), graph)
+        after = cost_improvement(*costs(after_plans, merge_plans(after_plans), graph))
         assert after > before
 
     def test_matches_straight_line_reimplementation_after_br(self):
@@ -90,7 +96,7 @@ class TestCostImprovement:
                 continue
             checked += 1
             joint = run_br_phase(plans, graph)
-            value = cost_improvement(plans, joint, graph)
+            value = cost_improvement(*costs(plans, joint, graph))
             # independent reimplementation, straight from the formula
             num = sum(p.total_cost for p in plans) - sum(
                 sum((0.8 / len(joint.edges[leg]) + 0.2) * edges[leg] for leg in joint.per_agent[p.agent].legs)

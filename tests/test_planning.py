@@ -5,13 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from journeyshare import planning
-from journeyshare.best_response import DISCOUNT_SHARE, FLOOR_SHARE, JointPlan, occupancy_cost, shared_cost
+from journeyshare.best_response import DISCOUNT_SHARE, FLOOR_SHARE, JointPlan
 from journeyshare.errors import InputError
 from journeyshare.planning import AgentRequest, plan_individual
 from journeyshare.transit import UNREACHABLE
 
 from conftest import graph_of
-from oracle_utils import brute_force_best_path, random_digraph, uniform_cost_plan
+from oracle_utils import brute_force_best_path, occupancy_cost, random_digraph, uniform_cost_plan
 
 
 class TestPlanIndividual:
@@ -95,7 +95,7 @@ class TestPlanIndividual:
 @st.composite
 def occupancy_searches(draw):
     """A random digraph with small integer costs, so that equal-cost paths are
-    common, random edge users among N travellers, and one traveller's
+    common, random edge riders among N travellers, and one traveller's
     origin-destination pair; most labelled edges carry all N travellers and so
     cost exactly their floor."""
     nodes = [f"n{i}" for i in range(draw(st.integers(2, 9)))]
@@ -104,62 +104,70 @@ def occupancy_searches(draw):
     n_agents = draw(st.integers(1, 14))
     everyone = frozenset(range(1, n_agents + 1))
     users = st.one_of(st.just(everyone), st.frozensets(st.sampled_from(sorted(everyone)), min_size=1))
-    labels = draw(st.dictionaries(st.sampled_from(sorted(edges)), users))
+    riders = draw(st.dictionaries(st.sampled_from(sorted(edges)), users))
     agent = draw(st.sampled_from(sorted(everyone)))
     origin, destination = draw(st.lists(st.sampled_from(nodes), min_size=2, max_size=2, unique=True))
     graph = graph_of(edges, extra_nodes=set(nodes))
-    joint = JointPlan(edges=labels, per_agent={})
-    return graph, AgentRequest(agent, origin, destination), occupancy_cost(joint, agent, graph), n_agents
+    return graph, AgentRequest(agent, origin, destination), riders, n_agents
+
+
+def rider_oracle(graph, request, riders):
+    """uniform_cost_plan under the occupancy costs the riders impose."""
+    return uniform_cost_plan(graph, request, occupancy_cost(JointPlan(edges=riders, per_agent={}), request.agent, graph))
+
+
+class RecordingRiders(dict):
+    """Rider labels that record every edge the search looks up."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.looked_up = []
+
+    def get(self, edge, default=None):
+        self.looked_up.append(edge)
+        return super().get(edge, default)
 
 
 class TestGoalDirected:
     @settings(max_examples=400, deadline=None)
     @given(occupancy_searches())
     def test_same_plan_as_uniform_cost_search(self, search):
-        graph, request, cost, n_agents = search
+        graph, request, riders, n_agents = search
         floor = DISCOUNT_SHARE / n_agents + FLOOR_SHARE
-        plan = plan_individual(graph, request, cost, floor=floor)
-        oracle = uniform_cost_plan(graph, request, cost)
+        plan = plan_individual(graph, request, riders, floor=floor)
         # Plan equality compares the legs and the total_cost floats with ==
-        assert plan == oracle
+        assert plan == rider_oracle(graph, request, riders)
 
     def test_exact_ties_keep_the_uniform_cost_tie_break(self, monkeypatch):
         # routes A-B-D-E and A-C-D-E both have base cost 5 and every edge
-        # costs its floor, so the two plans cost exactly the same
+        # carries all five travellers, so costs its floor, and the two plans
+        # cost exactly the same
         graph = graph_of({("A", "B"): 3, ("A", "C"): 1, ("B", "D"): 1, ("C", "D"): 3, ("D", "E"): 1})
         n_agents = 5
         floor = DISCOUNT_SHARE / n_agents + FLOOR_SHARE
-
-        def cost(edge):
-            return shared_cost(float(graph.edges[edge]), n_agents)
-
+        riders = {edge: frozenset(range(1, n_agents + 1)) for edge in graph.edges}
         request = AgentRequest(1, "A", "E")
-        plan = plan_individual(graph, request, cost, floor=floor)
-        assert plan == uniform_cost_plan(graph, request, cost)
+        plan = plan_individual(graph, request, riders, floor=floor)
+        assert plan == rider_oracle(graph, request, riders)
         assert plan.stops() == ("A", "B", "D", "E")
         # guided by the full floor, rounding of cost + estimate lets the
         # lexicographically larger route pop first
         monkeypatch.setattr(planning, "GUIDE_SLACK", 0.0)
-        assert plan_individual(graph, request, cost, floor=floor).stops() == ("A", "C", "D", "E")
+        assert plan_individual(graph, request, riders, floor=floor).stops() == ("A", "C", "D", "E")
 
     def test_unreachable_origin_returns_none_without_searching(self):
         graph = graph_of({("A", "B"): 5, ("B", "C"): 5, ("Z", "Y"): 1})
-        costed = []
-
-        def cost(edge):
-            costed.append(edge)
-            return float(graph.edges[edge])
-
-        assert plan_individual(graph, AgentRequest(1, "Z", "C"), cost, floor=1.0) is None
-        assert costed == []
+        riders = RecordingRiders({("Z", "Y"): {2}})
+        assert plan_individual(graph, AgentRequest(1, "Z", "C"), riders, floor=1.0) is None
+        assert riders.looked_up == []
 
     def test_cost_below_floor_times_base_raises(self):
         graph = graph_of({("A", "B"): 10, ("B", "C"): 10})
+        # four travellers on A-B leave each a share of 0.4
+        crowded = {("A", "B"): {2, 3, 4}}
         with pytest.raises(InputError, match="below 0.5 times its base cost"):
-            plan_individual(graph, AgentRequest(1, "A", "C"), lambda edge: 4.0, floor=0.5)
-        with pytest.raises(InputError, match="below 0.0 times its base cost"):
-            plan_individual(graph, AgentRequest(1, "A", "C"), lambda edge: -1.0)
-        # without edge_cost every edge costs its base cost, which a floor
+            plan_individual(graph, AgentRequest(1, "A", "C"), crowded, floor=0.5)
+        # without riders every edge costs its base cost, which a floor
         # above 1 undercuts
         with pytest.raises(InputError, match="below 1.5 times its base cost"):
             plan_individual(graph, AgentRequest(1, "A", "C"), floor=1.5)
@@ -167,10 +175,14 @@ class TestGoalDirected:
     def test_hand_built_graph(self):
         graph = graph_of({("A", "B"): 4, ("B", "C"): 4, ("A", "C"): 10, ("C", "D"): 2})
         request = AgentRequest(1, "A", "D")
-        plan = plan_individual(graph, request, lambda edge: 0.5 * graph.edges[edge], floor=0.5)
-        assert plan.stops() == ("A", "B", "C", "D")
-        assert plan.total_cost == 5.0
-        assert plan == uniform_cost_plan(graph, request, lambda edge: 0.5 * graph.edges[edge])
+        assert plan_individual(graph, request).stops() == ("A", "B", "C", "D")
+        # nine riders on A-C, the traveller among them and counted once,
+        # make it cheaper than the two legs via B
+        riders = {("A", "C"): frozenset(range(1, 10))}
+        plan = plan_individual(graph, request, riders, floor=DISCOUNT_SHARE / 9 + FLOOR_SHARE)
+        assert plan.stops() == ("A", "C", "D")
+        assert plan.total_cost == (DISCOUNT_SHARE / 9 + FLOOR_SHARE) * 10 + 2.0
+        assert plan == rider_oracle(graph, request, riders)
 
 
 class TestDistanceCache:
