@@ -28,7 +28,15 @@ from .metrics import RESULTS_COLUMNS, ExperimentResult, GroupRecord, cost_improv
 from .planning import AgentId, AgentRequest, Plan, plan_individual
 from .scheduling import ScheduleResult, schedule_group, schedule_single_agent, time_limit_for
 from .synth import SyntheticNetworkSpec, build_synthetic_network
-from .transit import RelaxedGraph, TransitNetwork, add_walking_links, build_relaxed_graph, haversine_km, load_network
+from .transit import (
+    RelaxedGraph,
+    TransitNetwork,
+    add_walking_links,
+    build_relaxed_graph,
+    haversine_km,
+    latitude_window_deg,
+    load_network,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -80,7 +88,13 @@ _DIRECTION_RULE = {
 def admissible_pairs(
     network: TransitNetwork, direction: str, min_km: float = 20.0, max_km: float = 160.0
 ) -> list[tuple[str, str]]:
-    """All origin-destination stop pairs admissible for one travel direction."""
+    """All origin-destination stop pairs admissible for one travel direction.
+
+    A pair whose latitude gap alone puts it beyond max_km is skipped without
+    computing its distance.  The stops stay in id order, so the pairs come
+    out nearly sorted; ordering the destinations by latitude to cut the scan
+    short would leave the final sort more to do than the cut saves.
+    """
     if direction not in _DIRECTION_RULE:
         raise InputError(f"unknown direction {direction!r}")
     axes = quadrant_axes(network)
@@ -89,10 +103,13 @@ def admissible_pairs(
         quadrant = quadrant_of(stop.lat, stop.lon, axes)
         if quadrant is not None:
             by_quadrant[quadrant].append(stop)
+    window = latitude_window_deg(max_km)
     pairs: list[tuple[str, str]] = []
     for origin_q, dest_q in _DIRECTION_RULE[direction]:
         for origin in by_quadrant[origin_q]:
             for dest in by_quadrant[dest_q]:
+                if abs(dest.lat - origin.lat) > window:
+                    continue
                 dist = haversine_km((origin.lat, origin.lon), (dest.lat, dest.lon))
                 if min_km <= dist <= max_km:
                     pairs.append((origin.id, dest.id))

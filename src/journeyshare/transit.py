@@ -16,6 +16,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, groupby
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -41,7 +42,7 @@ TIMETABLE_HEADER = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Stop:
     """A point of access to the network, identified by an ATCO-style code."""
 
@@ -62,7 +63,7 @@ class Stop:
             raise ValidationError(f"stop {self.id}: unknown mode {self.mode!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimetabledConnection:
     """One leg of one vehicle run: depart from_stop, arrive to_stop later."""
 
@@ -85,7 +86,7 @@ class TimetabledConnection:
             raise ValidationError(f"run {self.run_id} seq {self.seq}: duration must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WalkingLink:
     """An untimetabled link usable at any minute of the day."""
 
@@ -106,7 +107,11 @@ class StopIndex:
 
 @dataclass(frozen=True)
 class TransitNetwork:
-    """Immutable container for stops, timetabled connections and walking links."""
+    """Immutable container for stops, timetabled connections and walking links.
+
+    make_network leaves the connections in (service_id, run_id, seq) order,
+    so each run is one contiguous slice of them, in seq order.
+    """
 
     stops: Mapping[str, Stop]
     connections: tuple[TimetabledConnection, ...]
@@ -133,14 +138,13 @@ class TransitNetwork:
         )
 
     def runs(self) -> dict[str, tuple[TimetabledConnection, ...]]:
-        """Connections grouped by run id, each run ordered by seq."""
-        grouped: dict[str, list[TimetabledConnection]] = {}
-        for conn in self.connections:
-            grouped.setdefault(conn.run_id, []).append(conn)
-        return {
-            run_id: tuple(sorted(legs, key=lambda c: c.seq))
-            for run_id, legs in sorted(grouped.items())
-        }
+        """Connections grouped by run id, runs in network order, each run in
+        seq order.
+
+        One pass over the connections, which make_network has ordered: each
+        run is cut out as it stands, nothing is re-sorted.
+        """
+        return {run_id: tuple(legs) for run_id, legs in groupby(self.connections, attrgetter("run_id"))}
 
 
 @dataclass(frozen=True)
@@ -229,6 +233,16 @@ def haversine_km(a: tuple[float, float], b: tuple[float, float]) -> float:
     return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(h))
 
 
+def latitude_window_deg(km: float) -> float:
+    """A latitude gap, in degrees, beyond which two points are more than km apart.
+
+    haversine_km is at least EARTH_RADIUS_KM times the latitude gap in
+    radians, 111.19 km per degree; dividing by 111.0 instead leaves a margin
+    that no float rounding in either formula can use up.
+    """
+    return km / 111.0 + 1e-9
+
+
 def _open_csv(source: str | Path | Iterable[str], label: str) -> tuple[Iterable[str], str]:
     if isinstance(source, (str, Path)):
         path = Path(source)
@@ -266,27 +280,44 @@ def load_stops(source: str | Path | Iterable[str]) -> dict[str, Stop]:
     return stops
 
 
+class _BrokenRun(ValidationError):
+    """A run whose legs do not chain; leg is the first offending one in
+    network order."""
+
+    def __init__(self, leg: TimetabledConnection, problem: str) -> None:
+        super().__init__(problem)
+        self.leg = leg
+
+
 def make_network(stops: Mapping[str, Stop], connections: Iterable[TimetabledConnection]) -> TransitNetwork:
-    """The network, connections ordered by (service_id, run_id, seq); ValidationError on a broken run."""
-    connections = tuple(sorted(connections, key=lambda c: (c.service_id, c.run_id, c.seq)))
-    network = TransitNetwork(stops=stops, connections=connections)
-    for run_id, legs in network.runs().items():
-        services = {c.service_id for c in legs}
-        if len(services) > 1:
-            raise ValidationError(f"run {run_id} spans services {sorted(services)}")
-        for k, leg in enumerate(legs, start=1):
-            if leg.seq != k:
-                raise ValidationError(f"run {run_id}: seq values not consecutive from 1")
-        for prev, nxt in zip(legs, legs[1:]):
-            if nxt.from_stop != prev.to_stop:
-                raise ValidationError(
-                    f"run {run_id} seq {nxt.seq}: departs {nxt.from_stop} but previous leg ends at {prev.to_stop}"
-                )
-            if nxt.departure < prev.departure + prev.duration:
-                raise ValidationError(
-                    f"run {run_id} seq {nxt.seq}: departs at {nxt.departure} before arrival of previous leg"
-                )
-    return network
+    """The network, connections ordered by (service_id, run_id, seq); ValidationError on a broken run.
+
+    The runs are checked in one pass over the ordered connections, each leg
+    against the one before it, without grouping them.
+    """
+    connections = tuple(sorted(connections, key=attrgetter("service_id", "run_id", "seq")))
+    started: set[str] = set()
+    prev = None
+    for leg in connections:
+        if prev is None or leg.run_id != prev.run_id or leg.service_id != prev.service_id:
+            if leg.run_id in started:
+                services = sorted({c.service_id for c in connections if c.run_id == leg.run_id})
+                raise _BrokenRun(leg, f"run {leg.run_id} spans services {services}")
+            started.add(leg.run_id)
+            if leg.seq != 1:
+                raise _BrokenRun(leg, f"run {leg.run_id}: seq values not consecutive from 1")
+        elif leg.seq != prev.seq + 1:
+            raise _BrokenRun(leg, f"run {leg.run_id}: seq values not consecutive from 1")
+        elif leg.from_stop != prev.to_stop:
+            raise _BrokenRun(
+                leg, f"run {leg.run_id} seq {leg.seq}: departs {leg.from_stop} but previous leg ends at {prev.to_stop}"
+            )
+        elif leg.departure < prev.departure + prev.duration:
+            raise _BrokenRun(
+                leg, f"run {leg.run_id} seq {leg.seq}: departs at {leg.departure} before arrival of previous leg"
+            )
+        prev = leg
+    return TransitNetwork(stops=stops, connections=connections)
 
 
 def load_network(
@@ -297,12 +328,14 @@ def load_network(
 
     Duplicate timetable rows (same run_id and seq) collapse to the last
     occurrence.  Raises ParseError on malformed rows, ReferentialError on
-    dangling stop ids and ValidationError on broken run structure.
+    dangling stop ids and ValidationError on broken run structure, each
+    naming the file and line of the offending row.
     """
     stops = load_stops(stops_source)
     lines, name = _open_csv(timetable_source, "<timetable>")
     reader = csv_rows(lines, name)
     rows: dict[tuple[str, int], TimetabledConnection] = {}
+    line_of: dict[tuple[str, int], int] = {}
     for lineno, row in enumerate(reader, start=1):
         if lineno == 1:
             _check_header(row, TIMETABLE_HEADER, name)
@@ -324,7 +357,11 @@ def load_network(
             if stop_id not in stops:
                 raise ReferentialError(f"{name}:{lineno}: unknown stop {stop_id!r}")
         rows[(conn.run_id, conn.seq)] = conn
-    return make_network(stops, rows.values())
+        line_of[(conn.run_id, conn.seq)] = lineno
+    try:
+        return make_network(stops, rows.values())
+    except _BrokenRun as exc:
+        raise ValidationError(f"{name}:{line_of[(exc.leg.run_id, exc.leg.seq)]}: {exc}") from None
 
 
 def save_network(network: TransitNetwork, stops_path: str | Path, timetable_path: str | Path) -> None:
@@ -369,7 +406,7 @@ def add_walking_links(
     links = set(network.walking_links)
     by_lat = sorted(network.stops.values(), key=lambda s: (s.lat, s.id))
     # stops further apart in latitude than the threshold cannot be in range
-    max_dlat = max_distance_km / 111.0 + 1e-9
+    max_dlat = latitude_window_deg(max_distance_km)
     for i, a in enumerate(by_lat):
         for b in by_lat[i + 1:]:
             if b.lat - a.lat > max_dlat:
@@ -383,10 +420,6 @@ def add_walking_links(
     return TransitNetwork(stops=network.stops, connections=network.connections, walking_links=frozenset(links))
 
 
-def _run_visits(legs: tuple[TimetabledConnection, ...]) -> list[str]:
-    return [legs[0].from_stop] + [leg.to_stop for leg in legs]
-
-
 def _express_excluded(network: TransitNetwork) -> set[tuple[str, str]]:
     """Ordered stop pairs whose nonstop legs are dropped from the relaxed graph.
 
@@ -396,18 +429,29 @@ def _express_excluded(network: TransitNetwork) -> set[tuple[str, str]]:
     witness are locked so that every dropped pair keeps a fully present
     stopping route in the final graph, even when runs overtake each other
     mutually.
+
+    Everything here depends only on the runs' stop patterns (visit
+    sequences), so it is computed once per distinct pattern, not per run.
+    Runs sharing a pattern offer identical witness segments, and a segment
+    that fails for one fails for all, so each pattern stands in as its least
+    run id; witnesses are tried in (run id, i, j) order as if every run had
+    been enumerated.  The runs are grouped once, by TransitNetwork.runs.
     """
-    direct_pairs = {(c.from_stop, c.to_stop) for c in network.connections}
-    covering: dict[tuple[str, str], list[tuple[str, int, int]]] = {}
-    visits_by_run: dict[str, list[str]] = {}
+    first_run: dict[tuple[str, ...], str] = {}
     for run_id, legs in network.runs().items():
-        visits = _run_visits(legs)
-        visits_by_run[run_id] = visits
-        for i in range(len(visits)):
+        visits = (legs[0].from_stop, *[leg.to_stop for leg in legs])
+        if visits not in first_run or run_id < first_run[visits]:
+            first_run[visits] = run_id
+    # every connection is a leg of some run, so its pair is consecutive in a pattern
+    direct_pairs = {pair for visits in first_run for pair in zip(visits, visits[1:])}
+    covering: dict[tuple[str, str], list[tuple[str, int, int]]] = {}
+    for visits, run_id in first_run.items():
+        for i, a in enumerate(visits):
             for j in range(i + 2, len(visits)):
-                pair = (visits[i], visits[j])
-                if pair in direct_pairs and pair[0] != pair[1]:
+                pair = (a, visits[j])
+                if pair in direct_pairs and a != visits[j]:
                     covering.setdefault(pair, []).append((run_id, i, j))
+    visits_of = {run_id: visits for visits, run_id in first_run.items()}
 
     excluded: set[tuple[str, str]] = set()
     locked: set[tuple[str, str]] = set()
@@ -415,8 +459,8 @@ def _express_excluded(network: TransitNetwork) -> set[tuple[str, str]]:
         if pair in locked:
             continue
         for run_id, i, j in sorted(covering[pair]):
-            visits = visits_by_run[run_id]
-            segment = [(visits[k], visits[k + 1]) for k in range(i, j)]
+            visits = visits_of[run_id]
+            segment = list(zip(visits[i:j], visits[i + 1:j + 1]))
             if pair in segment:
                 continue
             if any(p in excluded for p in segment):
@@ -428,12 +472,16 @@ def _express_excluded(network: TransitNetwork) -> set[tuple[str, str]]:
 
 
 def build_relaxed_graph(network: TransitNetwork) -> RelaxedGraph:
-    """Collapse the timetable to a directed graph of minimal leg durations."""
+    """Collapse the timetable to a directed graph of minimal leg durations.
+
+    The express filter is computed per stop pattern (_express_excluded); the
+    minimal durations are taken over every run's legs and every walking link.
+    """
     excluded = _express_excluded(network)
     shortest: dict[tuple[str, str], int] = {}
-    for leg in (*network.connections, *network.walking_links):
+    for leg in chain(network.connections, network.walking_links):
         pair = (leg.from_stop, leg.to_stop)
-        if pair not in excluded:
-            shortest[pair] = min(leg.duration, shortest.get(pair, leg.duration))
-    edges = {pair: shortest[pair] for pair in sorted(shortest)}
+        if leg.duration < shortest.get(pair, math.inf):
+            shortest[pair] = leg.duration
+    edges = {pair: shortest[pair] for pair in sorted(shortest) if pair not in excluded}
     return RelaxedGraph(nodes=frozenset(network.stops), edges=edges)

@@ -222,6 +222,66 @@ def brute_force_relevant_timetable(parts, network):
     return TransitNetwork(stops=network.stops, connections=tuple(connections), walking_links=frozenset(walks))
 
 
+def express_excluded_per_run(network) -> set[tuple[str, str]]:
+    """The relaxed graph's express filter as it was before it worked per
+    stop pattern: every run enumerates its own witness segments.  Runs are
+    grouped by sorting, so the oracle does not rely on connection order."""
+    grouped: dict = {}
+    for conn in network.connections:
+        grouped.setdefault(conn.run_id, []).append(conn)
+    runs = {run_id: tuple(sorted(legs, key=lambda c: c.seq)) for run_id, legs in sorted(grouped.items())}
+
+    direct_pairs = {(c.from_stop, c.to_stop) for c in network.connections}
+    covering: dict[tuple[str, str], list[tuple[str, int, int]]] = {}
+    visits_by_run: dict[str, list[str]] = {}
+    for run_id, legs in runs.items():
+        visits = [legs[0].from_stop] + [leg.to_stop for leg in legs]
+        visits_by_run[run_id] = visits
+        for i in range(len(visits)):
+            for j in range(i + 2, len(visits)):
+                pair = (visits[i], visits[j])
+                if pair in direct_pairs and pair[0] != pair[1]:
+                    covering.setdefault(pair, []).append((run_id, i, j))
+
+    excluded: set[tuple[str, str]] = set()
+    locked: set[tuple[str, str]] = set()
+    for pair in sorted(covering):
+        if pair in locked:
+            continue
+        for run_id, i, j in sorted(covering[pair]):
+            visits = visits_by_run[run_id]
+            segment = [(visits[k], visits[k + 1]) for k in range(i, j)]
+            if pair in segment:
+                continue
+            if any(p in excluded for p in segment):
+                continue
+            excluded.add(pair)
+            locked.update(segment)
+            break
+    return excluded
+
+
+def all_pairs_admissible(network, direction: str, min_km: float, max_km: float) -> list[tuple[str, str]]:
+    """admissible_pairs by measuring every origin-quadrant stop against every
+    destination-quadrant stop."""
+    from journeyshare.experiments import _DIRECTION_RULE, quadrant_axes, quadrant_of
+    from journeyshare.transit import haversine_km
+
+    axes = quadrant_axes(network)
+    by_quadrant: dict[int, list] = {1: [], 2: [], 3: [], 4: []}
+    for stop in network.stops.values():
+        quadrant = quadrant_of(stop.lat, stop.lon, axes)
+        if quadrant is not None:
+            by_quadrant[quadrant].append(stop)
+    pairs = []
+    for origin_q, dest_q in _DIRECTION_RULE[direction]:
+        for origin in by_quadrant[origin_q]:
+            for dest in by_quadrant[dest_q]:
+                if min_km <= haversine_km((origin.lat, origin.lon), (dest.lat, dest.lon)) <= max_km:
+                    pairs.append((origin.id, dest.id))
+    return sorted(pairs)
+
+
 # --- exhaustive scheduling oracle -----------------------------------------
 #
 # Enumerates every structurally possible chain of moves through a part and

@@ -88,6 +88,26 @@ class TestPlanCommand:
             assert code == 1
             assert f"error: {requests}:{message}" in capsys.readouterr().err
 
+    def test_broken_run_names_timetable_line(self, grid_dir, tmp_path, capsys):
+        timetable = tmp_path / "timetable.csv"
+        timetable.write_text(
+            "service_id,run_id,seq,from_stop,to_stop,departure_min,duration_min\n"
+            "S1,R1,1,S0100,S0101,60,15\n"
+            "S1,R1,3,S0101,S0102,80,15\n"
+        )
+        requests = tmp_path / "requests.csv"
+        write_requests(requests, ["a1,S0100,S0102"])
+        code = main(
+            [
+                "plan",
+                "--stops", str(grid_dir / "stops.csv"),
+                "--timetable", str(timetable),
+                "--requests", str(requests),
+            ]
+        )
+        assert code == 1
+        assert f"error: {timetable}:3: run R1: seq values not consecutive from 1" in capsys.readouterr().err
+
     def test_bad_requests_header(self, grid_dir, tmp_path):
         requests = tmp_path / "requests.csv"
         requests.write_text("who,from,to\n")

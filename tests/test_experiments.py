@@ -8,6 +8,7 @@ from journeyshare.config import EngineConfig
 from journeyshare.errors import ConsistencyError, InputError, ParseError, ScenarioError, ValidationError
 from journeyshare.experiments import (
     DEFAULT_SYNTH_SPEC,
+    DIRECTIONS,
     admissible_pairs,
     default_matrix,
     prepare_network,
@@ -27,6 +28,8 @@ from journeyshare.synth import (
     generate_synthetic_network,
 )
 from journeyshare.transit import haversine_km, load_network
+
+from oracle_utils import all_pairs_admissible
 
 GRID = SyntheticNetworkSpec(width=6, height=8, spacing_km=8.0, headway_min=60, leg_min=10)
 
@@ -153,6 +156,30 @@ class TestQuadrants:
             pairs = admissible_pairs(network, direction, 20, 160)
             assert pairs
             assert reversed_pairs(pairs) == admissible_pairs(network, reverse, 20, 160)
+
+    def test_latitude_prune_matches_all_pairs_oracle_at_the_bounds(self):
+        network = build_synthetic_network(SyntheticNetworkSpec(width=12, height=16, headway_min=600))
+        stops = network.stops
+
+        def km(pair):
+            return haversine_km(*((stops[s].lat, stops[s].lon) for s in pair))
+
+        for direction in DIRECTIONS:
+            candidates = all_pairs_admissible(network, direction, 0.0, 1e9)
+            distances = sorted({km(pair) for pair in candidates})
+            # bounds that are distances on the grid, so pairs sit exactly on them
+            bounds = [
+                (distances[int(lo * len(distances))], distances[int(hi * len(distances))])
+                for lo, hi in ((0.1, 0.5), (0.0, 0.05), (0.3, 0.9), (0.02, 0.2))
+            ]
+            # pairs on one meridian are as far apart as their latitude gap allows
+            meridian = sorted({km(pair) for pair in candidates if stops[pair[0]].lon == stops[pair[1]].lon})
+            bounds += [(d, d) for d in meridian]
+            for min_km, max_km in bounds:
+                pairs = admissible_pairs(network, direction, min_km, max_km)
+                assert pairs == all_pairs_admissible(network, direction, min_km, max_km)
+                measured = {km(pair) for pair in pairs}
+                assert min_km in measured and max_km in measured
 
     def test_all_stops_in_one_quadrant_is_an_error(self):
         rows = ["stop_id,name,lat,lon,mode"] + [

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import random
 
 import pytest
@@ -6,20 +8,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from journeyshare.errors import ParseError, ReferentialError, ValidationError
+from journeyshare.synth import SyntheticNetworkSpec, build_synthetic_network
 from journeyshare.transit import (
     EARTH_RADIUS_KM,
+    Stop,
     TimetabledConnection,
     TransitNetwork,
     WalkingLink,
+    _express_excluded,
     add_walking_links,
     build_relaxed_graph,
     haversine_km,
     load_network,
     load_stops,
+    make_network,
     save_network,
 )
 
 from conftest import SIX_STOP_STOPS
+from oracle_utils import express_excluded_per_run
 
 STOPS_4 = [
     "stop_id,name,lat,lon,mode",
@@ -89,6 +96,51 @@ class TestLoadNetwork:
         with pytest.raises(ValidationError, match="before arrival"):
             load_network(STOPS_4, rows)
 
+    @pytest.mark.parametrize(
+        "legs, line, problem",
+        [
+            (
+                ["S1,R1,1,W,X,60,10", "S2,R1,2,X,Y,75,12", "S3,R3,1,Z,Y,600,13"],
+                3,
+                "run R1 spans services ['S1', 'S2']",
+            ),
+            (
+                ["SA,RA,1,W,X,60,10", "SA,RA,3,X,Y,90,10", "SB,RB,1,Z,Y,600,13"],
+                3,
+                "run RA: seq values not consecutive from 1",
+            ),
+            (["SB,RB,1,Z,Y,600,13", "SA,RA,2,X,Y,90,10"], 3, "run RA: seq values not consecutive from 1"),
+            (
+                ["SA,RA,1,W,X,60,10", "SA,RA,2,Y,Z,90,10", "SB,RB,1,Z,Y,600,13"],
+                3,
+                "run RA seq 2: departs Y but previous leg ends at X",
+            ),
+            (
+                ["SA,RA,2,X,Y,80,10", "SA,RA,1,W,X,60,30", "SB,RB,1,Z,Y,600,13"],
+                2,
+                "run RA seq 2: departs at 80 before arrival of previous leg",
+            ),
+        ],
+    )
+    def test_broken_run_names_line_of_offending_leg(self, legs, line, problem):
+        with pytest.raises(ValidationError) as loaded:
+            load_network(STOPS_4, TIMETABLE_4[:1] + legs)
+        assert str(loaded.value) == f"<timetable>:{line}: {problem}"
+        # networks built from objects keep the bare message
+        connections = []
+        for leg in legs:
+            service, run, seq, a, b, departure, duration = leg.split(",")
+            connections.append(TimetabledConnection(service, run, int(seq), a, b, int(departure), int(duration)))
+        with pytest.raises(ValidationError) as made:
+            make_network(load_stops(STOPS_4), connections)
+        assert str(made.value) == problem
+
+    def test_broken_run_names_line_of_the_row_kept(self):
+        # a repeated (run_id, seq) row collapses to its last occurrence, which is the one named
+        legs = ["SA,RA,1,W,X,60,10", "SA,RA,2,X,Y,75,12", "SB,RB,1,Z,Y,600,13", "SA,RA,2,Y,Z,75,12"]
+        with pytest.raises(ValidationError, match="^<timetable>:5: run RA seq 2: departs Y but previous leg ends at X$"):
+            load_network(STOPS_4, TIMETABLE_4[:1] + legs)
+
     def test_coordinate_out_of_range(self):
         rows = ["stop_id,name,lat,lon,mode", "Q,Quux,95.0,-3.0,rail"]
         with pytest.raises(ParseError, match="latitude"):
@@ -123,6 +175,44 @@ class TestStopIndex:
         assert [c.run_id for c in index.departures["W"]] == ["A1", "R1", "R0", "Z9"]
         assert [link.duration for link in index.walks[("W", "X")]] == [4, 9]
         assert "X" not in index.departures
+
+
+class TestValueObjects:
+    STOP = Stop("W", "West", 55.0, -3.0, "rail")
+    CONN = TimetabledConnection("SA", "RA", 1, "W", "X", 60, 10)
+    LINK = WalkingLink("W", "X", 4)
+
+    @pytest.mark.parametrize("obj", [STOP, CONN, LINK])
+    def test_slotted_frozen_and_hashable(self, obj):
+        assert not hasattr(obj, "__dict__")
+        copy = type(obj)(*dataclasses.astuple(obj))
+        assert copy == obj and hash(copy) == hash(obj) and copy is not obj
+        assert len({obj, copy}) == 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, dataclasses.fields(obj)[0].name, "Y")
+        restored = pickle.loads(pickle.dumps(obj))
+        assert restored == obj and hash(restored) == hash(obj)
+
+    def test_replace_builds_a_checked_copy(self):
+        moved = dataclasses.replace(self.CONN, seq=2, departure=70)
+        assert moved == TimetabledConnection("SA", "RA", 2, "W", "X", 70, 10)
+        assert self.CONN.seq == 1
+        with pytest.raises(ValidationError, match="loops"):
+            dataclasses.replace(self.CONN, to_stop="W")
+        assert dataclasses.replace(self.LINK, duration=9) == WalkingLink("W", "X", 9)
+
+    def test_walking_link_set_collapses_equal_links(self):
+        links = frozenset({WalkingLink("W", "X", 4), WalkingLink("W", "X", 4), WalkingLink("X", "W", 4)})
+        assert links == frozenset({self.LINK, WalkingLink("X", "W", 4)})
+        assert WalkingLink("W", "X", 9) not in links
+
+    def test_network_pickle_round_trip(self):
+        net = add_walking_links(load_network(STOPS_4, TIMETABLE_4), max_distance_km=20.0)
+        restored = pickle.loads(pickle.dumps(net))
+        assert restored.stops == net.stops
+        assert restored.connections == net.connections
+        assert restored.walking_links == net.walking_links
+        assert restored.runs() == net.runs()
 
 
 class TestHaversine:
@@ -325,3 +415,97 @@ class TestRelaxedGraph:
                 assert any(
                     all(seg in graph.edges for seg in zip(w, w[1:])) for w in witnesses
                 ), f"trial {trial}: {pair} dropped but no stopping route fully present"
+
+
+def _no_loops(stops: list[str]) -> list[str]:
+    """The visit sequence with immediate repeats merged, so no leg loops."""
+    out = stops[:1]
+    for stop in stops[1:]:
+        if stop != out[-1]:
+            out.append(stop)
+    return out
+
+
+def _shared_pattern_timetable(rng: random.Random, names: list[str]) -> list[str]:
+    """Timetable rows whose runs share stop patterns: stopping patterns that
+    may revisit stops, express patterns skipping some of their stops, and
+    sometimes a mutually overtaking pair, each pattern run 1-4 times."""
+    patterns = []
+    for _ in range(rng.randint(1, 3)):
+        visits = [rng.choice(names)]
+        for _ in range(rng.randint(2, 6)):
+            visits.append(rng.choice([x for x in names if x != visits[-1]]))
+        patterns.append(visits)
+        express = _no_loops([visits[0], *[x for x in visits[1:-1] if rng.random() < 0.4], visits[-1]])
+        if len(express) >= 2 and rng.random() < 0.8:
+            patterns.append(express)
+    if rng.random() < 0.5:
+        a, b, c = rng.sample(names, 3)
+        patterns += [[a, b, c], [a, c, b]]
+    if rng.random() < 0.5:
+        a, b, c = rng.sample(names, 3)
+        patterns.append([a, b, c, a, b])
+    run_ids = [f"R{k:02d}" for k in rng.sample(range(100), 4 * len(patterns))]
+    rows = ["service_id,run_id,seq,from_stop,to_stop,departure_min,duration_min"]
+    for visits in patterns:
+        for _ in range(rng.randint(1, 4)):
+            run = run_ids.pop()
+            service = f"S{rng.randint(0, 2)}"
+            t = rng.randint(0, 600)
+            for k in range(len(visits) - 1):
+                duration = rng.randint(5, 30)
+                rows.append(f"{service},{run},{k + 1},{visits[k]},{visits[k + 1]},{t},{duration}")
+                t += duration + rng.randint(0, 10)
+    return rows
+
+
+class TestExpressFilterPerPattern:
+    def test_matches_per_run_oracle_on_shared_patterns(self):
+        rng = random.Random(12)
+        dropped = 0
+        for trial in range(150):
+            n = rng.randint(4, 7)
+            names = [f"N{i}" for i in range(n)]
+            stops = ["stop_id,name,lat,lon,mode"] + [
+                f"{x},Node,{55 + i * 0.01!r},-3.0,rail" for i, x in enumerate(names)
+            ]
+            net = load_network(stops, _shared_pattern_timetable(rng, names))
+            expected = express_excluded_per_run(net)
+            assert _express_excluded(net) == expected, f"trial {trial}"
+            dropped += bool(expected)
+        assert dropped >= 50
+
+    def test_mutual_overtaking_and_circular_patterns(self):
+        stops = ["stop_id,name,lat,lon,mode"] + [f"{x},Node,{55 + i * 0.01!r},-3.0,rail" for i, x in enumerate("ABCD")]
+        rows = [
+            "service_id,run_id,seq,from_stop,to_stop,departure_min,duration_min",
+            # B then C, and C then B: each run overtakes the other
+            "S1,R2,1,A,B,100,10", "S1,R2,2,B,C,110,10",
+            "S1,R1,1,A,C,200,10", "S1,R1,2,C,B,210,10",
+            "S1,R3,1,A,C,300,10", "S1,R3,2,C,B,310,10",
+            # a circular pattern run twice, and a nonstop leg it covers
+            "S2,R5,1,A,D,400,10", "S2,R5,2,D,C,410,10", "S2,R5,3,C,A,420,10", "S2,R5,4,A,D,430,10",
+            "S2,R4,1,A,D,500,10", "S2,R4,2,D,C,510,10", "S2,R4,3,C,A,520,10", "S2,R4,4,A,D,530,10",
+            "S3,R6,1,D,A,600,10",
+        ]
+        net = load_network(stops, rows)
+        expected = express_excluded_per_run(net)
+        assert _express_excluded(net) == expected
+        assert ("A", "B") in expected and ("A", "C") not in expected
+        assert ("D", "A") in expected
+
+    def test_dense_grid_with_express_run_matches_oracle(self):
+        grid = build_synthetic_network(SyntheticNetworkSpec(width=20, height=40, headway_min=60))
+        express = (
+            TimetabledConnection("X", "XR1", 1, "S0000", "S0005", 480, 30),
+            TimetabledConnection("X", "XR1", 2, "S0005", "S0010", 515, 30),
+        )
+        net = make_network(grid.stops, (*grid.connections, *express))
+        excluded = express_excluded_per_run(net)
+        assert excluded == {("S0000", "S0005"), ("S0005", "S0010")}
+        shortest: dict[tuple[str, str], int] = {}
+        for conn in net.connections:
+            pair = (conn.from_stop, conn.to_stop)
+            shortest[pair] = min(conn.duration, shortest.get(pair, conn.duration))
+        expected = [(pair, shortest[pair]) for pair in sorted(shortest) if pair not in excluded]
+        assert list(build_relaxed_graph(net).edges.items()) == expected
