@@ -29,11 +29,11 @@ from .planning import AgentId, AgentRequest, Plan, plan_individual
 from .scheduling import ScheduleResult, schedule_group, schedule_single_agent, time_limit_for
 from .synth import SyntheticNetworkSpec, build_synthetic_network
 from .transit import (
+    EARTH_RADIUS_KM,
     RelaxedGraph,
     TransitNetwork,
     add_walking_links,
     build_relaxed_graph,
-    haversine_km,
     latitude_window_deg,
     load_network,
 )
@@ -91,28 +91,34 @@ def admissible_pairs(
     """All origin-destination stop pairs admissible for one travel direction.
 
     A pair whose latitude gap alone puts it beyond max_km is skipped without
-    computing its distance.  The stops stay in id order, so the pairs come
-    out nearly sorted; ordering the destinations by latitude to cut the scan
-    short would leave the final sort more to do than the cut saves.
+    computing its distance.  The distance is haversine_km's expression,
+    evaluated in the same order so that it is the same float, with each
+    stop's radians and latitude cosine taken once per call.  The stops stay
+    in id order, so the pairs come out nearly sorted; ordering the
+    destinations by latitude to cut the scan short would leave the final sort
+    more to do than the cut saves.
     """
     if direction not in _DIRECTION_RULE:
         raise InputError(f"unknown direction {direction!r}")
     axes = quadrant_axes(network)
+    # per quadrant, each stop as (id, lat, lat radians, lon radians, cos of lat radians)
     by_quadrant: dict[int, list] = {1: [], 2: [], 3: [], 4: []}
     for stop in sorted(network.stops.values(), key=lambda s: s.id):
         quadrant = quadrant_of(stop.lat, stop.lon, axes)
         if quadrant is not None:
-            by_quadrant[quadrant].append(stop)
+            lat = math.radians(stop.lat)
+            by_quadrant[quadrant].append((stop.id, stop.lat, lat, math.radians(stop.lon), math.cos(lat)))
     window = latitude_window_deg(max_km)
+    sin, asin, sqrt, diameter = math.sin, math.asin, math.sqrt, 2.0 * EARTH_RADIUS_KM
     pairs: list[tuple[str, str]] = []
     for origin_q, dest_q in _DIRECTION_RULE[direction]:
-        for origin in by_quadrant[origin_q]:
-            for dest in by_quadrant[dest_q]:
-                if abs(dest.lat - origin.lat) > window:
+        for origin, lat_deg, lat1, lon1, cos1 in by_quadrant[origin_q]:
+            for dest, dest_lat_deg, lat2, lon2, cos2 in by_quadrant[dest_q]:
+                if abs(dest_lat_deg - lat_deg) > window:
                     continue
-                dist = haversine_km((origin.lat, origin.lon), (dest.lat, dest.lon))
-                if min_km <= dist <= max_km:
-                    pairs.append((origin.id, dest.id))
+                h = sin((lat2 - lat1) / 2.0) ** 2 + cos1 * cos2 * sin((lon2 - lon1) / 2.0) ** 2
+                if min_km <= diameter * asin(sqrt(h)) <= max_km:
+                    pairs.append((origin, dest))
     pairs.sort()
     return pairs
 

@@ -1,12 +1,13 @@
 """Single-traveller route planning on the relaxed graph.
 
-plan_individual is an A* search (Hart, Nilsson & Raphael, 1968) returning a
-cost-optimal simple path, pricing each edge at its shared_cost among the
-travellers riding it.  Solo routes have no riders; best-response replanning
-passes the joint plan's edge labels and a floor share of the base cost that
-no edge undercuts, so the floor times the base-cost distance to the
-destination is an admissible, consistent heuristic.  With floor 0 the search
-is uniform-cost.
+plan_individual returns a cost-optimal simple path, pricing each edge at its
+shared_cost among the travellers riding it.  Solo routes have no riders, so
+every edge costs its base cost: they are read off the graph's reverse
+shortest-path tree towards the destination without a search.  Best-response
+replanning passes the joint plan's edge labels and a floor share of the base
+cost that no edge undercuts, and runs an A* search (Hart, Nilsson & Raphael,
+1968) guided by the floor times the base-cost distance to the destination,
+an admissible, consistent heuristic.
 """
 
 from __future__ import annotations
@@ -95,7 +96,9 @@ def plan_individual(
     distance to the destination.  Ties are broken towards fewer legs, then
     the lexicographically smallest stop sequence, so results are
     reproducible and do not depend on floor.  Returns None, without
-    searching, when the destination is unreachable.
+    searching, when the destination is unreachable.  Without riders and with
+    floor 0 the route is read off graph.tree_to(destination), which breaks
+    ties the same way, and nothing is searched.
     """
     if request.origin not in graph.nodes:
         raise InputError(f"unknown origin stop {request.origin!r}")
@@ -103,9 +106,18 @@ def plan_individual(
         raise InputError(f"unknown destination stop {request.destination!r}")
     agent, names, position, out_edges = request.agent, graph.names, graph.positions, graph.out_edges
     origin, destination = position[request.origin], position[request.destination]
-    distance = graph.distances_to(request.destination)
+    distance, next_hop = graph.tree_to(request.destination)
     if distance[origin] == UNREACHABLE:
         return None
+    if not riders and floor == 0:
+        # each edge costs shared_cost(base, 1), which is float(base), summed
+        # from the origin as the search sums it
+        edges, stops, cost, node = graph.edges, [request.origin], 0.0, origin
+        while node != destination:
+            node = next_hop[node]
+            stops.append(names[node])
+            cost += float(edges[stops[-2], stops[-1]])
+        return Plan(agent=agent, legs=tuple(zip(stops, stops[1:])), total_cost=cost)
     guide = (1.0 - GUIDE_SLACK) * floor
 
     # Labels are (cost + guide * remaining, cost, hops, path), with paths of

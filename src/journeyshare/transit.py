@@ -25,7 +25,7 @@ from .errors import ParseError, ReferentialError, ValidationError, csv_rows, rea
 
 EARTH_RADIUS_KM = 6371.0
 DAY_MINUTES = 1440
-# RelaxedGraph.distances_to's entry for a node with no path to the destination
+# RelaxedGraph.tree_to's entry for a node with no path to the destination
 UNREACHABLE = -1
 
 MODES = ("rail", "coach", "walk-node")
@@ -151,9 +151,9 @@ class TransitNetwork:
 class RelaxedGraph:
     """Directed stop graph with minimal inter-stop durations.
 
-    The search indexes (names, positions, out_edges) and the distance cache
-    are built on first use and are not fields, so they take no part in ==
-    or repr.
+    The search indexes (names, positions, out_edges) and the per-destination
+    trees are built on first use and are not fields, so they take no part in
+    == or repr.
     """
 
     nodes: frozenset[str]
@@ -167,7 +167,7 @@ class RelaxedGraph:
 
     @cached_property
     def positions(self) -> dict[str, int]:
-        """Each node's index into names and into the arrays of distances_to."""
+        """Each node's index into names and into the arrays of tree_to."""
         return {node: i for i, node in enumerate(self.names)}
 
     @cached_property
@@ -190,41 +190,67 @@ class RelaxedGraph:
         return in_edges
 
     @cached_property
-    def _distances(self) -> dict[str, array]:
+    def _trees(self) -> dict[str, tuple[array, array]]:
         return {}
+
+    def tree_to(self, destination: str) -> tuple[array, array]:
+        """The reverse shortest-path tree towards destination, as two arrays
+        indexed by positions: each node's base-cost distance to destination
+        (floats, UNREACHABLE where there is no path) and its next hop, the
+        position of its lowest-numbered successor on a path of least cost
+        and, among those, fewest legs (UNREACHABLE at destination and where
+        there is no path).
+
+        Computed on first request by a reverse Dijkstra search over exact
+        integer (distance, hops) keys and kept for the life of the graph.
+        Following next hops from a node walks its lexicographically smallest
+        stop sequence among the (cost, hops)-optimal paths, because every
+        such path continues on an optimal path of its next node.  The
+        distances are floats, exact for the integer sums of realistic
+        durations, so that no duration the timetable accepts overflows the
+        array.
+        """
+        tree = self._trees.get(destination)
+        if tree is not None:
+            return tree
+        in_edges = self._in_edges
+        n = len(self.names)
+        best: list[float] = [math.inf] * n
+        hops = [0] * n
+        next_hop = array("i", [UNREACHABLE]) * n
+        start = self.positions[destination]
+        best[start] = 0
+        heap = [(0, 0, start)]
+        while heap:
+            d, h, node = heapq.heappop(heap)
+            if d != best[node] or h != hops[node]:
+                continue
+            h += 1
+            for pred, base in in_edges[node]:
+                candidate = d + base
+                known = best[pred]
+                if candidate < known or (candidate == known and h < hops[pred]):
+                    best[pred], hops[pred], next_hop[pred] = candidate, h, node
+                    heapq.heappush(heap, (candidate, h, pred))
+                elif candidate == known and h == hops[pred] and node < next_hop[pred]:
+                    next_hop[pred] = node
+        distance = array("d", [UNREACHABLE if d == math.inf else d for d in best])
+        tree = self._trees[destination] = (distance, next_hop)
+        return tree
 
     def distances_to(self, destination: str) -> array:
         """Base-cost distance from every node to destination, indexed by
-        positions, UNREACHABLE where there is no path.
-
-        Computed on first request by a reverse Dijkstra search and kept for
-        the life of the graph.  The entries are floats, exact for the integer
-        sums of realistic durations, so that no duration the timetable
-        accepts overflows the array.
-        """
-        distance = self._distances.get(destination)
-        if distance is not None:
-            return distance
-        in_edges = self._in_edges
-        best = [math.inf] * len(self.names)
-        start = self.positions[destination]
-        best[start] = 0
-        heap = [(0, start)]
-        while heap:
-            d, node = heapq.heappop(heap)
-            if d > best[node]:
-                continue
-            for pred, base in in_edges[node]:
-                if d + base < best[pred]:
-                    best[pred] = d + base
-                    heapq.heappush(heap, (d + base, pred))
-        distance = array("d", [UNREACHABLE if d == math.inf else d for d in best])
-        self._distances[destination] = distance
-        return distance
+        positions, UNREACHABLE where there is no path: the distance half of
+        tree_to(destination)."""
+        return self.tree_to(destination)[0]
 
 
 def haversine_km(a: tuple[float, float], b: tuple[float, float]) -> float:
-    """Great-circle distance in kilometres between two (lat, lon) points."""
+    """Great-circle distance in kilometres between two (lat, lon) points.
+
+    experiments.admissible_pairs evaluates this expression inline, in the
+    same order; a change here must be made there too.
+    """
     lat1, lon1 = math.radians(a[0]), math.radians(a[1])
     lat2, lon2 = math.radians(b[0]), math.radians(b[1])
     dlat = lat2 - lat1

@@ -181,6 +181,25 @@ class TestQuadrants:
                 measured = {km(pair) for pair in pairs}
                 assert min_km in measured and max_km in measured
 
+    @pytest.mark.parametrize("direction", ["NS", "WE"])
+    def test_dense_grid_pairs_match_all_pairs_oracle(self, direction):
+        # the dense workload's 20x40 grid; the headway does not move the stops.
+        # SN and EW are these pairs turned round
+        # (test_reverse_direction_pairs_are_the_pairs_turned_round)
+        network = build_synthetic_network(SyntheticNetworkSpec(width=20, height=40, headway_min=600))
+        stops = network.stops
+        by_km: dict[float, list] = {}
+        for pair in all_pairs_admissible(network, direction, 0.0, 1e9):
+            by_km.setdefault(haversine_km(*((stops[s].lat, stops[s].lon) for s in pair)), []).append(pair)
+        for min_km, max_km in ((20.0, 160.0), (0.0, 40.0), (50.0, 400.0)):
+            expected = sorted(pair for km, pairs in by_km.items() if min_km <= km <= max_km for pair in pairs)
+            assert expected and admissible_pairs(network, direction, min_km, max_km) == expected
+        # a window of one grid distance admits exactly the pairs haversine_km
+        # puts on it, so a distance one rounding step off shows
+        distances = sorted(by_km)
+        for km in distances[:: len(distances) // 8]:
+            assert admissible_pairs(network, direction, km, km) == by_km[km]
+
     def test_all_stops_in_one_quadrant_is_an_error(self):
         rows = ["stop_id,name,lat,lon,mode"] + [
             f"S{i},Stop,{55.0 + i * 0.001!r},{-3.0 + i * 0.001!r},rail" for i in range(6)

@@ -1,4 +1,5 @@
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 from journeyshare import planning
 from journeyshare.best_response import DISCOUNT_SHARE, FLOOR_SHARE, JointPlan
 from journeyshare.errors import InputError
+from journeyshare.experiments import DEFAULT_SYNTH_SPEC, prepare_network
 from journeyshare.planning import AgentRequest, plan_individual
+from journeyshare.synth import build_synthetic_network
 from journeyshare.transit import UNREACHABLE
 
 from conftest import graph_of
@@ -219,3 +222,73 @@ class TestDistanceCache:
         warm.distances_to("C")
         assert warm == cold
         assert repr(warm) == before == repr(cold)
+
+
+def tie_heavy_graph(rng):
+    """A random digraph with costs 1-3, so that equal-cost paths of different
+    hop counts and stop names are common, plus nodes without in-edges or
+    out-edges, so that some pairs are unreachable."""
+    nodes, edges = random_digraph(rng, rng.randint(2, 10), edge_prob=rng.uniform(0.1, 0.6), max_cost=3)
+    extra = {f"x{i}" for i in range(rng.randint(0, 2))}
+    return sorted(set(nodes) | extra), graph_of(edges, extra_nodes=set(nodes) | extra)
+
+
+class TestSoloReadOff:
+    def test_same_plan_as_uniform_cost_search_on_tie_heavy_graphs(self):
+        rng = random.Random(2013)
+        unreachable = 0
+        for _ in range(1000):
+            nodes, graph = tie_heavy_graph(rng)
+            for origin in nodes:
+                for destination in nodes:
+                    if origin != destination:
+                        request = AgentRequest(1, origin, destination)
+                        plan = plan_individual(graph, request)
+                        # Plan equality compares the legs and the total_cost floats with ==
+                        assert plan == uniform_cost_plan(graph, request)
+                        unreachable += plan is None
+        assert unreachable
+
+    def test_same_plan_as_uniform_cost_search_on_the_default_grid(self):
+        _, graph = prepare_network(build_synthetic_network(DEFAULT_SYNTH_SPEC))
+        for origin in graph.names:
+            for destination in graph.names:
+                if origin != destination:
+                    request = AgentRequest(1, origin, destination)
+                    assert plan_individual(graph, request) == uniform_cost_plan(graph, request)
+
+    def test_equal_cost_and_hops_takes_the_lower_numbered_next_hop(self):
+        # A-M-Z and A-K-Z cost 10 in two legs, A-Z costs 10 in one, and
+        # B-K-Z and B-M-Z tie on both cost and legs
+        graph = graph_of({("A", "Z"): 10, ("A", "K"): 5, ("K", "Z"): 5, ("B", "M"): 4, ("M", "Z"): 5, ("B", "K"): 4})
+        distance, next_hop = graph.tree_to("Z")
+        position = graph.positions
+        assert next_hop[position["A"]] == position["Z"]
+        assert next_hop[position["B"]] == position["K"]
+        assert next_hop[position["Z"]] == UNREACHABLE
+        assert list(distance) == [10, 9, 5, 5, 0]
+
+    def test_a_warm_tree_routes_without_pushing_onto_a_heap(self, monkeypatch):
+        _, graph = prepare_network(build_synthetic_network(DEFAULT_SYNTH_SPEC))
+        destination = graph.names[-1]
+        requests = [AgentRequest(1, origin, destination) for origin in graph.names[:-1]]
+        expected = [uniform_cost_plan(graph, request) for request in requests]
+        graph.tree_to(destination)
+
+        def no_search(*args):
+            raise AssertionError("a solo route pushed onto a heap")
+
+        monkeypatch.setattr(planning.heapq, "heappush", no_search)
+        assert [plan_individual(graph, request) for request in requests] == expected
+
+    def test_entry_is_two_arrays_over_the_nodes(self):
+        graph = graph_of({("A", "B"): 1, ("B", "C"): 2}, extra_nodes={"D"})
+        tree = graph.tree_to("C")
+        assert tree is graph.tree_to("C")
+        distance, next_hop = tree
+        assert len(tree) == 2
+        assert isinstance(distance, array) and distance.typecode == "d"
+        assert isinstance(next_hop, array) and next_hop.typecode in "bhilq"
+        assert len(distance) == len(next_hop) == len(graph.names)
+        assert graph.distances_to("C") is distance
+        assert list(next_hop) == [1, 2, UNREACHABLE, UNREACHABLE]
