@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import InputError
-from .planning import DISCOUNT_SHARE, FLOOR_SHARE, AgentId, AgentRequest, Edge, Plan, plan_individual, shared_cost
+from .planning import AgentId, AgentRequest, Edge, Plan, plan_individual, shared_cost
 from .transit import RelaxedGraph
 
 logger = logging.getLogger(__name__)
@@ -26,10 +26,10 @@ MAX_ROUNDS = 100
 
 @dataclass(frozen=True)
 class JointPlan:
-    """Union of all travellers' plans; each edge is labelled with its users,
-    as a frozenset except in the plan that run_br_phase edits."""
+    """Union of all travellers' plans; each edge is labelled with the
+    frozenset of its users."""
 
-    edges: Mapping[Edge, AbstractSet]
+    edges: Mapping[Edge, frozenset]
     per_agent: Mapping[AgentId, Plan]
 
     def to_dict(self) -> dict:
@@ -86,10 +86,7 @@ def best_response_step(joint: JointPlan, agent: AgentId, graph: RelaxedGraph) ->
     if current is None:
         raise InputError(f"agent {agent!r} not present in joint plan")
     request = AgentRequest(agent=agent, origin=current.legs[0][0], destination=current.legs[-1][1])
-    # an edge has at most all N travellers on it, so none costs less than this
-    # share of its base cost
-    floor = DISCOUNT_SHARE / len(joint.per_agent) + FLOOR_SHARE
-    best = plan_individual(graph, request, joint.edges, floor=floor)
+    best = plan_individual(graph, request, joint.edges)
     if best is None:
         logger.warning("agent %r has no route in best-response step; keeping current plan", agent)
         return current
@@ -108,14 +105,18 @@ def run_br_phase(
     as an improvement.  A sweep without adoptions certifies that no unilateral
     improvement remains.  MAX_ROUNDS caps the sweeps.
 
-    The phase edits one joint plan, with mutable labels, in place and
-    returns a fresh merge of its plans.  on_step gets that live plan after
-    every step: an observer that keeps it must copy it.
+    The phase merges the initial plans once, rejecting a leg that is not a
+    graph edge (InputError), and edits that joint plan in place: an adopted
+    plan moves its agent between labels, each replaced by a new frozenset.
+    It returns the same plan, which on_step gets after every step: an
+    observer that keeps it must copy its maps.
     """
-    merged = merge_plans(initial)
-    edges = {leg: set(users) for leg, users in merged.edges.items()}
-    per_agent = dict(merged.per_agent)
-    joint = JointPlan(edges=edges, per_agent=per_agent)
+    joint = merge_plans(initial)
+    edges, per_agent = joint.edges, joint.per_agent
+    for agent, plan in per_agent.items():
+        for leg in plan.legs:
+            if leg not in graph.edges:
+                raise InputError(f"agent {agent!r} plan leg {leg} is not a relaxed-graph edge")
     agents = sorted(per_agent)
     for round_no in range(1, MAX_ROUNDS + 1):
         improved = False
@@ -123,17 +124,17 @@ def run_br_phase(
             candidate = best_response_step(joint, agent, graph)
             if candidate.total_cost < agent_cost(joint, agent, graph):
                 for leg in per_agent[agent].legs:
-                    edges[leg].discard(agent)
-                    if not edges[leg]:
-                        del edges[leg]
+                    users = edges.pop(leg) - {agent}
+                    if users:
+                        edges[leg] = users
                 for leg in candidate.legs:
-                    edges.setdefault(leg, set()).add(agent)
+                    edges[leg] = edges.get(leg, frozenset()) | {agent}
                 per_agent[agent] = candidate
                 improved = True
             if on_step is not None:
                 on_step(joint)
         if not improved:
             logger.debug("best-response phase converged after %d sweep(s)", round_no)
-            return merge_plans(per_agent.values())
+            return joint
     logger.warning("best-response phase hit MAX_ROUNDS=%d without converging", MAX_ROUNDS)
-    return merge_plans(per_agent.values())
+    return joint

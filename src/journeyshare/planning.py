@@ -4,10 +4,10 @@ plan_individual returns a cost-optimal simple path, pricing each edge at its
 shared_cost among the travellers riding it.  Solo routes have no riders, so
 every edge costs its base cost: they are read off the graph's reverse
 shortest-path tree towards the destination without a search.  Best-response
-replanning passes the joint plan's edge labels and a floor share of the base
-cost that no edge undercuts, and runs an A* search (Hart, Nilsson & Raphael,
-1968) guided by the floor times the base-cost distance to the destination,
-an admissible, consistent heuristic.
+replanning passes the joint plan's edge labels and runs an A* search (Hart,
+Nilsson & Raphael, 1968) guided by the base-cost distance to the destination
+times the least share of its base cost any edge can cost, which the largest
+label fixes: an admissible, consistent heuristic.
 """
 
 from __future__ import annotations
@@ -84,21 +84,20 @@ def plan_individual(
     graph: RelaxedGraph,
     request: AgentRequest,
     riders: Mapping[Edge, AbstractSet[AgentId]] = {},
-    floor: float = 0.0,
 ) -> Plan | None:
     """Minimum-cost simple path from origin to destination, or None.
 
     riders labels edges with their travellers, as JointPlan.edges does; an
     edge costs shared_cost of its base cost (its minimal duration in minutes)
     among its riders and the traveller, so the base cost without riders.
-    Every edge must cost at least floor times its base cost (InputError
-    otherwise); the search is guided by just under floor times the base-cost
-    distance to the destination.  Ties are broken towards fewer legs, then
-    the lexicographically smallest stop sequence, so results are
-    reproducible and do not depend on floor.  Returns None, without
-    searching, when the destination is unreachable.  Without riders and with
-    floor 0 the route is read off graph.tree_to(destination), which breaks
-    ties the same way, and nothing is searched.
+    Ties are broken towards fewer legs, then the lexicographically smallest
+    stop sequence, so results are reproducible.  Returns None, without
+    searching, when the destination is unreachable.  Without riders the
+    route is read off graph.tree_to(destination), which breaks ties the same
+    way, and nothing is searched.  With riders, the largest group a label
+    allows, its riders and the traveller, fixes the floor: the least share of
+    its base cost any edge can cost.  The A* search is guided by just under
+    the floor times the base-cost distance to the destination.
     """
     if request.origin not in graph.nodes:
         raise InputError(f"unknown origin stop {request.origin!r}")
@@ -109,7 +108,7 @@ def plan_individual(
     distance, next_hop = graph.tree_to(request.destination)
     if distance[origin] == UNREACHABLE:
         return None
-    if not riders and floor == 0:
+    if not riders:
         # each edge costs shared_cost(base, 1), which is float(base), summed
         # from the origin as the search sums it
         edges, stops, cost, node = graph.edges, [request.origin], 0.0, origin
@@ -118,7 +117,8 @@ def plan_individual(
             stops.append(names[node])
             cost += float(edges[stops[-2], stops[-1]])
         return Plan(agent=agent, legs=tuple(zip(stops, stops[1:])), total_cost=cost)
-    guide = (1.0 - GUIDE_SLACK) * floor
+    crowd = max(len(users) + (agent not in users) for users in riders.values())
+    guide = (1.0 - GUIDE_SLACK) * (DISCOUNT_SHARE / crowd + FLOOR_SHARE)
 
     # Labels are (cost + guide * remaining, cost, hops, path), with paths of
     # node positions, which order as the stop names do.  The estimate is
@@ -144,11 +144,7 @@ def plan_individual(
             remaining = distance[succ]
             if remaining == UNREACHABLE:
                 continue
-            edge = (name, names[succ])
-            users = riders.get(edge, ())
-            step = shared_cost(base, len(users) + (agent not in users))
-            if step < floor * base:
-                raise InputError(f"edge cost {step} on {edge} is below {floor} times its base cost")
-            g = cost + step
+            users = riders.get((name, names[succ]), ())
+            g = cost + shared_cost(base, len(users) + (agent not in users))
             heapq.heappush(heap, (g + guide * remaining, g, hops + 1, path + (succ,)))
     return None

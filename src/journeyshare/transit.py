@@ -238,12 +238,6 @@ class RelaxedGraph:
         tree = self._trees[destination] = (distance, next_hop)
         return tree
 
-    def distances_to(self, destination: str) -> array:
-        """Base-cost distance from every node to destination, indexed by
-        positions, UNREACHABLE where there is no path: the distance half of
-        tree_to(destination)."""
-        return self.tree_to(destination)[0]
-
 
 def haversine_km(a: tuple[float, float], b: tuple[float, float]) -> float:
     """Great-circle distance in kilometres between two (lat, lon) points.

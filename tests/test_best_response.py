@@ -5,17 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from journeyshare.best_response import (
-    FLOOR_SHARE,
-    JointPlan,
-    agent_cost,
-    best_response_step,
-    merge_plans,
-    run_br_phase,
-    shared_cost,
-)
+from journeyshare.best_response import JointPlan, agent_cost, best_response_step, merge_plans, run_br_phase
 from journeyshare.errors import InputError
-from journeyshare.planning import AgentRequest, Plan, plan_individual
+from journeyshare.planning import FLOOR_SHARE, AgentRequest, Plan, plan_individual, shared_cost
 
 from conftest import graph_of
 from oracle_utils import brute_force_best_path, occupancy_cost, random_digraph, rosenthal_potential
@@ -187,7 +179,7 @@ class TestRunBrPhase:
         assert joint.per_agent[1].stops() == ("C", "D", "E", "F")
         assert joint.per_agent[2].stops() == ("D", "E")
 
-    def test_on_step_sees_one_live_plan_and_the_result_is_a_copy(self):
+    def test_on_step_sees_the_live_plan_that_is_returned(self):
         graph = graph_of(
             {("C", "D"): 45, ("D", "E"): 70, ("E", "F"): 30, ("D", "X"): 60, ("X", "E"): 60}
         )
@@ -197,15 +189,15 @@ class TestRunBrPhase:
 
         def observe(live):
             assert live.edges == merge_plans(live.per_agent.values()).edges
+            assert all(type(users) is frozenset for users in live.edges.values())
             seen.append(live)
 
         joint = run_br_phase([p1, p2], graph, on_step=observe)
         # two sweeps of two agents; agent 2 adopts the corridor in the first
         assert len(seen) == 4
         assert all(live is seen[0] for live in seen)
-        assert seen[0] is not joint
-        assert seen[0].edges == joint.edges
-        assert seen[0].per_agent == joint.per_agent
+        assert seen[0] is joint
+        assert joint.per_agent[2].stops() == ("D", "E")
 
     def test_sweep_cap_logs_and_returns_a_frozen_merge_of_the_capped_plans(self, monkeypatch, caplog):
         from journeyshare import best_response
@@ -304,6 +296,15 @@ class TestRunBrPhase:
         joint = merge_plans([stale])
         step = best_response_step(joint, 1, graph)
         assert step == stale
+
+    def test_a_plan_off_the_graph_is_an_input_error(self):
+        # the stale plan above rides A-B, which the graph no longer has
+        graph = graph_of({("B", "C"): 5}, extra_nodes={"A"})
+        stale = Plan(agent=1, legs=(("A", "B"), ("B", "C")), total_cost=15.0)
+        steps = []
+        with pytest.raises(InputError, match=r"agent 1 plan leg \('A', 'B'\) is not a relaxed-graph edge"):
+            run_br_phase([stale], graph, on_step=steps.append)
+        assert steps == []
 
 
 class TestRosenthalPotential:

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from journeyshare import planning
-from journeyshare.best_response import DISCOUNT_SHARE, FLOOR_SHARE, JointPlan
+from journeyshare.best_response import JointPlan
 from journeyshare.errors import InputError
 from journeyshare.experiments import DEFAULT_SYNTH_SPEC, prepare_network
-from journeyshare.planning import AgentRequest, plan_individual
+from journeyshare.planning import DISCOUNT_SHARE, FLOOR_SHARE, AgentRequest, plan_individual
 from journeyshare.synth import build_synthetic_network
 from journeyshare.transit import UNREACHABLE
 
@@ -135,9 +135,8 @@ class TestGoalDirected:
     @settings(max_examples=400, deadline=None)
     @given(occupancy_searches())
     def test_same_plan_as_uniform_cost_search(self, search):
-        graph, request, riders, n_agents = search
-        floor = DISCOUNT_SHARE / n_agents + FLOOR_SHARE
-        plan = plan_individual(graph, request, riders, floor=floor)
+        graph, request, riders, _ = search
+        plan = plan_individual(graph, request, riders)
         # Plan equality compares the legs and the total_cost floats with ==
         assert plan == rider_oracle(graph, request, riders)
 
@@ -147,33 +146,53 @@ class TestGoalDirected:
         # cost exactly the same
         graph = graph_of({("A", "B"): 3, ("A", "C"): 1, ("B", "D"): 1, ("C", "D"): 3, ("D", "E"): 1})
         n_agents = 5
-        floor = DISCOUNT_SHARE / n_agents + FLOOR_SHARE
         riders = {edge: frozenset(range(1, n_agents + 1)) for edge in graph.edges}
         request = AgentRequest(1, "A", "E")
-        plan = plan_individual(graph, request, riders, floor=floor)
+        plan = plan_individual(graph, request, riders)
         assert plan == rider_oracle(graph, request, riders)
         assert plan.stops() == ("A", "B", "D", "E")
         # guided by the full floor, rounding of cost + estimate lets the
         # lexicographically larger route pop first
         monkeypatch.setattr(planning, "GUIDE_SLACK", 0.0)
-        assert plan_individual(graph, request, riders, floor=floor).stops() == ("A", "C", "D", "E")
+        assert plan_individual(graph, request, riders).stops() == ("A", "C", "D", "E")
 
     def test_unreachable_origin_returns_none_without_searching(self):
         graph = graph_of({("A", "B"): 5, ("B", "C"): 5, ("Z", "Y"): 1})
         riders = RecordingRiders({("Z", "Y"): {2}})
-        assert plan_individual(graph, AgentRequest(1, "Z", "C"), riders, floor=1.0) is None
+        assert plan_individual(graph, AgentRequest(1, "Z", "C"), riders) is None
         assert riders.looked_up == []
 
-    def test_cost_below_floor_times_base_raises(self):
-        graph = graph_of({("A", "B"): 10, ("B", "C"): 10})
-        # four travellers on A-B leave each a share of 0.4
-        crowded = {("A", "B"): {2, 3, 4}}
-        with pytest.raises(InputError, match="below 0.5 times its base cost"):
-            plan_individual(graph, AgentRequest(1, "A", "C"), crowded, floor=0.5)
-        # without riders every edge costs its base cost, which a floor
-        # above 1 undercuts
-        with pytest.raises(InputError, match="below 1.5 times its base cost"):
-            plan_individual(graph, AgentRequest(1, "A", "C"), floor=1.5)
+    def test_crowd_counts_the_traveller_on_an_edge_it_is_not_on(self):
+        # three others on B-D make a group of four with the traveller, so
+        # B-D costs 0.4 of its base cost; a guide from a group of three
+        # would overestimate at B and settle D by the direct edge first
+        graph = graph_of({("A", "B"): 1, ("B", "D"): 20, ("A", "D"): 9})
+        request = AgentRequest(1, "A", "D")
+        riders = {("B", "D"): frozenset({2, 3, 4}), ("A", "B"): frozenset({1, 2, 3})}
+        plan = plan_individual(graph, request, riders)
+        assert plan.stops() == ("A", "B", "D")
+        assert plan.total_cost == (DISCOUNT_SHARE / 3 + FLOOR_SHARE) * 1 + (DISCOUNT_SHARE / 4 + FLOOR_SHARE) * 20
+        assert plan == rider_oracle(graph, request, riders)
+
+    def test_an_empty_label_prices_its_edge_at_the_base_cost(self):
+        # an empty label makes a group of one, so the guide is just under the
+        # base-cost distance; the equal-cost routes keep the solo tie-break
+        graph = graph_of({("A", "Z"): 10, ("A", "K"): 5, ("K", "Z"): 5, ("A", "M"): 5, ("M", "Z"): 5})
+        for edge in graph.edges:
+            for destination in ("Z", "K"):
+                request = AgentRequest(1, "A", destination)
+                riders = {edge: frozenset()}
+                plan = plan_individual(graph, request, riders)
+                assert plan == plan_individual(graph, request)
+                assert plan == rider_oracle(graph, request, riders)
+
+    def test_riders_off_the_graph_only_loosen_the_guide(self):
+        graph = graph_of({("A", "B"): 4, ("B", "C"): 4, ("A", "C"): 10, ("C", "D"): 2})
+        request = AgentRequest(1, "A", "D")
+        riders = {("A", "C"): frozenset({2, 3}), ("Q", "R"): frozenset(range(2, 40)), ("D", "A"): frozenset({1})}
+        plan = plan_individual(graph, request, riders)
+        assert plan.stops() == ("A", "C", "D")
+        assert plan == rider_oracle(graph, request, riders)
 
     def test_hand_built_graph(self):
         graph = graph_of({("A", "B"): 4, ("B", "C"): 4, ("A", "C"): 10, ("C", "D"): 2})
@@ -182,7 +201,7 @@ class TestGoalDirected:
         # nine riders on A-C, the traveller among them and counted once,
         # make it cheaper than the two legs via B
         riders = {("A", "C"): frozenset(range(1, 10))}
-        plan = plan_individual(graph, request, riders, floor=DISCOUNT_SHARE / 9 + FLOOR_SHARE)
+        plan = plan_individual(graph, request, riders)
         assert plan.stops() == ("A", "C", "D")
         assert plan.total_cost == (DISCOUNT_SHARE / 9 + FLOOR_SHARE) * 10 + 2.0
         assert plan == rider_oracle(graph, request, riders)
@@ -195,7 +214,7 @@ class TestDistanceCache:
             nodes, edges = random_digraph(rng, rng.randint(2, 8), edge_prob=rng.uniform(0.1, 0.5), max_cost=9)
             graph = graph_of(edges, extra_nodes=set(nodes))
             destination = rng.choice(nodes)
-            distance = graph.distances_to(destination)
+            distance = graph.tree_to(destination)[0]
             for node in nodes:
                 if node == destination:
                     expected = 0
@@ -206,8 +225,8 @@ class TestDistanceCache:
 
     def test_computed_once_per_destination(self):
         graph = graph_of({("A", "B"): 1, ("B", "C"): 2})
-        assert graph.distances_to("C") is graph.distances_to("C")
-        assert list(graph.distances_to("B")) == [1, 0, UNREACHABLE]
+        assert graph.tree_to("C")[0] is graph.tree_to("C")[0]
+        assert list(graph.tree_to("B")[0]) == [1, 0, UNREACHABLE]
 
     def test_durations_beyond_64_bits(self):
         graph = graph_of({("A", "B"): 10**19, ("B", "C"): 1, ("A", "C"): 10**20})
@@ -219,7 +238,7 @@ class TestDistanceCache:
         edges = {("A", "B"): 1, ("B", "C"): 2}
         warm, cold = graph_of(edges), graph_of(edges)
         before = repr(warm)
-        warm.distances_to("C")
+        warm.tree_to("C")
         assert warm == cold
         assert repr(warm) == before == repr(cold)
 
@@ -290,5 +309,5 @@ class TestSoloReadOff:
         assert isinstance(distance, array) and distance.typecode == "d"
         assert isinstance(next_hop, array) and next_hop.typecode in "bhilq"
         assert len(distance) == len(next_hop) == len(graph.names)
-        assert graph.distances_to("C") is distance
+        assert graph.tree_to("C")[0] is distance
         assert list(next_hop) == [1, 2, UNREACHABLE, UNREACHABLE]
