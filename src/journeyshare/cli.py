@@ -34,13 +34,13 @@ logger = logging.getLogger(__name__)
 def load_requests(path: str | Path, stops: Container[str]) -> list[AgentRequest]:
     """The file's requests; ParseError at path:line for a bad row or a stop not in stops."""
     with io.StringIO(read_text(path)) as fh:
-        reader = csv_rows(fh, str(path))
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != ["agent", "origin", "destination"]:
+        rows = csv_rows(fh, str(path))
+        _, header = next(rows, (1, []))
+        if [c.strip() for c in header] != ["agent", "origin", "destination"]:
             raise ParseError(f"{path}:1: expected header 'agent,origin,destination'")
         requests = []
         first_line: dict[str, int] = {}
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in rows:
             if not row:
                 continue
             if len(row) != 3:

@@ -54,14 +54,18 @@ def read_text(path: str | Path) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def csv_rows(lines: Iterable[str], name: str) -> Iterator[list[str]]:
-    """The rows of csv.reader(lines).
+def csv_rows(lines: Iterable[str], name: str) -> Iterator[tuple[int, list[str]]]:
+    """The rows of csv.reader(lines), each with the line it starts on.
 
-    Raises ParseError naming name and the line at which the csv module gave
-    up, e.g. on a field over its size limit.
+    A quoted field may span lines, so a row starts on the line after the
+    one where the previous row ended.  Raises ParseError naming name and the
+    line at which the csv module gave up, e.g. on a field over its size limit.
     """
     reader = csv.reader(lines)
+    line = 1
     try:
-        yield from reader
+        for row in reader:
+            yield line, row
+            line = reader.line_num + 1
     except csv.Error as exc:
         raise ParseError(f"{name}:{reader.line_num}: {exc}") from None

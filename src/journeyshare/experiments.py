@@ -232,20 +232,22 @@ def run_pipeline(
                 result.errors.append(f"group {group.id}: {exc}")
                 sched = ScheduleResult(schedule=None)
             artifacts.group_schedules[group.id] = sched
+            group_durations = {a: itin.duration for a, itin in sched.itineraries.items()}
             # the solo baselines, which only a matched group (one with itineraries) reads
-            solo_itins = {
-                a: schedule_single_agent(initial[a], prepared_network, solo_limit).itineraries.get(a)
-                for a in sched.itineraries
-            }
+            solo_durations = {}
+            for a in group_durations:
+                solo = schedule_single_agent(initial[a], prepared_network, solo_limit).itineraries.get(a)
+                if solo is not None:
+                    solo_durations[a] = solo.duration
             result.groups.append(
                 GroupRecord(
                     group_id=group.id,
                     size=len(group.agents),
                     matched=sched.feasible,
                     timed_out=sched.timed_out,
-                    group_durations={a: itin.duration for a, itin in sched.itineraries.items()},
-                    solo_durations={a: itin.duration for a, itin in solo_itins.items() if itin is not None},
-                    delta_t=prolongation(sched.itineraries, solo_itins) if sched.feasible else None,
+                    group_durations=group_durations,
+                    solo_durations=solo_durations,
+                    delta_t=prolongation(group_durations, solo_durations) if sched.feasible else None,
                 )
             )
     result.timings["schedule"] = time.perf_counter() - t0
@@ -448,12 +450,12 @@ def _number(record: dict[str, str], col: str, where: str, kind=float):
 def validate_results_file(path: str | Path) -> int:
     """Re-check row-level invariants of a results.csv; returns the row count."""
     with io.StringIO(read_text(path)) as fh:
-        reader = csv_rows(fh, str(path))
-        header = next(reader, None)
+        rows = csv_rows(fh, str(path))
+        _, header = next(rows, (1, None))
         if header != RESULTS_COLUMNS:
             raise InputError(f"{path}: unexpected header {header}")
         count = 0
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in rows:
             count += 1
             where = f"{path}:{lineno}"
             if len(row) != len(RESULTS_COLUMNS):

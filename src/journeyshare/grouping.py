@@ -1,10 +1,9 @@
 """Decomposition of a converged joint plan for timetable matching.
 
-A group is a weakly connected component of the joint plan's edges: travellers
-whose routes meet at a stop, directly or transitively, share a group even
-when they share no edge, and each group is timetabled independently.  Within
-a group, the journey splits into parts, maximal chains travelled by one fixed
-set of agents.  The relevant timetable for a group keeps only services that
+A group is found by traversing travellers: those whose routes meet at a stop,
+directly or transitively, share a group even when they share no edge, and
+each group is timetabled independently.  Within a group, the journey splits
+into parts, maximal chains travelled by one fixed set of agents.  The relevant timetable for a group keeps only services that
 connect stops of one part in travel direction, which admits direct trains
 over a stopping route.
 """
@@ -23,8 +22,8 @@ from .transit import TimetabledConnection, TransitNetwork, WalkingLink
 
 @dataclass(frozen=True)
 class Group:
-    """A weakly connected component of the joint plan: its travellers' routes
-    are linked through shared stops, not necessarily through shared edges."""
+    """Travellers whose routes are linked through shared stops, not
+    necessarily through shared edges, with their plans and edge labels."""
 
     id: int
     agents: frozenset
@@ -51,47 +50,33 @@ class Part:
 
 
 def identify_groups(joint: JointPlan) -> list[Group]:
-    """Split the joint plan into weakly-connected components.
+    """Split the joint plan into groups of travellers linked through shared stops.
 
-    Each agent's legs form a chain, so every agent lands in exactly one
-    component; groups are returned ordered by their smallest agent id.
+    Each ungrouped agent, in sorted order, starts a group that takes in every
+    traveller sharing a stop with a member, so groups come out ordered by
+    their smallest agent id.  Each stop's travellers are visited once.
     """
-    adjacency: dict[str, set[str]] = {}
-    for a, b in joint.edges:
-        adjacency.setdefault(a, set()).add(b)
-        adjacency.setdefault(b, set()).add(a)
-
-    component_of: dict[str, int] = {}
-    n_components = 0
-    for start in sorted(adjacency):
-        if start in component_of:
-            continue
-        comp = n_components
-        n_components += 1
-        stack = [start]
-        component_of[start] = comp
-        while stack:
-            node = stack.pop()
-            for nxt in adjacency[node]:
-                if nxt not in component_of:
-                    component_of[nxt] = comp
-                    stack.append(nxt)
-
-    agents_by_comp: dict[int, set] = {}
+    travellers_at: dict[str, list[AgentId]] = {}
     for agent, plan in joint.per_agent.items():
-        comps = {component_of[leg[0]] for leg in plan.legs}
-        if len(comps) != 1:
-            raise ConsistencyError(f"agent {agent!r} has legs in {len(comps)} components")
-        agents_by_comp.setdefault(comps.pop(), set()).add(agent)
+        for stop in plan.stops():
+            travellers_at.setdefault(stop, []).append(agent)
 
-    groups = []
-    ordered = sorted(agents_by_comp.items(), key=lambda item: min(item[1]))
-    for group_id, (comp, agents) in enumerate(ordered):
-        edges = {
-            leg: users for leg, users in joint.edges.items() if component_of[leg[0]] == comp
-        }
-        plans = {agent: joint.per_agent[agent] for agent in agents}
-        groups.append(Group(id=group_id, agents=frozenset(agents), edges=edges, plans=plans))
+    groups: list[Group] = []
+    grouped: set[AgentId] = set()
+    for first in sorted(joint.per_agent):
+        if first in grouped:
+            continue
+        grouped.add(first)
+        members = [first]
+        for agent in members:  # grows as the traversal reaches new travellers
+            for stop in joint.per_agent[agent].stops():
+                for other in travellers_at.pop(stop, ()):
+                    if other not in grouped:
+                        grouped.add(other)
+                        members.append(other)
+        plans = {agent: joint.per_agent[agent] for agent in members}
+        edges = {leg: joint.edges[leg] for plan in plans.values() for leg in plan.legs}
+        groups.append(Group(id=len(groups), agents=frozenset(members), edges=edges, plans=plans))
     return groups
 
 

@@ -10,7 +10,6 @@ from typing import Iterable, Mapping
 
 from .errors import InputError
 from .planning import AgentId
-from .scheduling import Itinerary
 
 RESULTS_COLUMNS = [
     "scenario",
@@ -76,25 +75,18 @@ def cost_improvement(initial_costs: Mapping[AgentId, float], shared_costs: Mappi
     return (solo_total - shared_total) / solo_total
 
 
-def prolongation(
-    group_itins: Mapping[AgentId, Itinerary], solo_itins: Mapping[AgentId, Itinerary | None]
-) -> float | None:
+def prolongation(group_durations: Mapping[AgentId, int], solo_durations: Mapping[AgentId, int]) -> float | None:
     """Relative extra travel time of the shared schedule over solo schedules.
 
-    Computable only when every member has both itineraries; returns None
-    otherwise.
+    Reads each member's recorded durations in minutes; returns None when a
+    member has no solo duration.
     """
-    group_total = 0
-    solo_total = 0
-    for agent in sorted(group_itins, key=str):
-        solo = solo_itins.get(agent)
-        if solo is None:
-            return None
-        group_total += group_itins[agent].duration
-        solo_total += solo.duration
+    if any(agent not in solo_durations for agent in group_durations):
+        return None
+    solo_total = sum(solo_durations[agent] for agent in group_durations)
     if solo_total == 0:
         raise InputError("total solo duration is zero; prolongation undefined")
-    return (group_total - solo_total) / solo_total
+    return (sum(group_durations.values()) - solo_total) / solo_total
 
 
 def _format(value) -> str:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .config import EngineConfig
-from .errors import ConsistencyError, InputError
+from .errors import InputError
 from .grouping import Part, part_precedence, relevant_timetable
 from .planning import AgentId, Plan
 from .transit import DAY_MINUTES, TransitNetwork
@@ -57,8 +57,14 @@ class PartSchedule:
 class Itinerary:
     agent: AgentId
     legs: tuple[LegAssignment, ...]
-    depart: int
-    arrive: int
+
+    @property
+    def depart(self) -> int:
+        return self.legs[0].board
+
+    @property
+    def arrive(self) -> int:
+        return self.legs[-1].alight
 
     @property
     def duration(self) -> int:
@@ -239,21 +245,6 @@ def earliest_arrival_in_part(
     return PartSchedule(part_id=part.id, legs=tuple(legs))
 
 
-def _agent_chains(parts: list[Part]) -> dict[AgentId, list[int]]:
-    by_id = {part.id: part for part in parts}
-    chains: dict[AgentId, list[int]] = {}
-    agents = sorted({agent for part in parts for agent in part.agents})
-    for agent in agents:
-        first = [p.id for p in parts if agent in p.agents and p.prev[agent] is None]
-        if len(first) != 1:
-            raise ConsistencyError(f"agent {agent!r} has {len(first)} journey-initial parts")
-        chain = [first[0]]
-        while by_id[chain[-1]].next[agent] is not None:
-            chain.append(by_id[chain[-1]].next[agent])
-        chains[agent] = chain
-    return chains
-
-
 def schedule_group(
     parts: list[Part], tt: TransitNetwork, time_limit_s: float | None = None
 ) -> ScheduleResult:
@@ -267,7 +258,6 @@ def schedule_group(
     deadline = _Deadline(time_limit_s)
     topo = part_precedence(parts)
     by_id = {part.id: part for part in parts}
-    chains = _agent_chains(parts)
     # built as the forward pass reaches each part; the backward pass visits no other
     solvers: dict[int, _PartSolver] = {}
 
@@ -313,13 +303,15 @@ def schedule_group(
     except SchedulingTimeout:
         return ScheduleResult(schedule=None, timed_out=True)
 
-    # each agent's itinerary is its part schedules concatenated
-    itineraries: dict[AgentId, Itinerary] = {}
-    for agent, chain in chains.items():
-        legs = tuple(leg for pid in chain for leg in schedules[pid].legs)
-        if legs[-1].alight - legs[0].board > DAY_MINUTES:
-            return ScheduleResult(schedule=None)
-        itineraries[agent] = Itinerary(agent=agent, legs=legs, depart=legs[0].board, arrive=legs[-1].alight)
+    # each agent's itinerary is its part schedules concatenated; the
+    # precedence order visits every agent's parts in travel order
+    legs_of: dict[AgentId, list[LegAssignment]] = {}
+    for pid in topo:
+        for agent in by_id[pid].agents:
+            legs_of.setdefault(agent, []).extend(schedules[pid].legs)
+    itineraries = {agent: Itinerary(agent=agent, legs=tuple(legs_of[agent])) for agent in sorted(legs_of)}
+    if any(itin.duration > DAY_MINUTES for itin in itineraries.values()):
+        return ScheduleResult(schedule=None)
     return ScheduleResult(schedule=schedules, itineraries=itineraries)
 
 

@@ -19,7 +19,7 @@ from functools import cached_property
 from itertools import chain, groupby
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import ParseError, ReferentialError, ValidationError, csv_rows, read_text
 
@@ -263,26 +263,29 @@ def latitude_window_deg(km: float) -> float:
     return km / 111.0 + 1e-9
 
 
-def _open_csv(source: str | Path | Iterable[str], label: str) -> tuple[Iterable[str], str]:
+def _csv_body(
+    source: str | Path | Iterable[str], label: str, header: list[str]
+) -> tuple[Iterator[tuple[int, list[str]]], str]:
+    """The (line, row) pairs after the header, and the name of the source (label
+    when it is not a file).
+
+    Raises ParseError at line 1 when the header is missing or wrong.
+    """
+    name = label
     if isinstance(source, (str, Path)):
-        path = Path(source)
-        return read_text(path).splitlines(), str(path)
-    return source, label
-
-
-def _check_header(row: list[str], expected: list[str], name: str) -> None:
-    if [c.strip() for c in row] != expected:
-        raise ParseError(f"{name}:1: expected header {','.join(expected)!r}, got {','.join(row)!r}")
+        name = str(Path(source))
+        source = read_text(source).splitlines()
+    rows = csv_rows(source, name)
+    _, first = next(rows, (1, []))
+    if [c.strip() for c in first] != header:
+        raise ParseError(f"{name}:1: expected header {','.join(header)!r}, got {','.join(first)!r}")
+    return rows, name
 
 
 def load_stops(source: str | Path | Iterable[str]) -> dict[str, Stop]:
-    lines, name = _open_csv(source, "<stops>")
-    reader = csv_rows(lines, name)
+    rows, name = _csv_body(source, "<stops>", STOPS_HEADER)
     stops: dict[str, Stop] = {}
-    for lineno, row in enumerate(reader, start=1):
-        if lineno == 1:
-            _check_header(row, STOPS_HEADER, name)
-            continue
+    for lineno, row in rows:
         if not row:
             continue
         if len(row) != len(STOPS_HEADER):
@@ -352,14 +355,10 @@ def load_network(
     naming the file and line of the offending row.
     """
     stops = load_stops(stops_source)
-    lines, name = _open_csv(timetable_source, "<timetable>")
-    reader = csv_rows(lines, name)
+    body, name = _csv_body(timetable_source, "<timetable>", TIMETABLE_HEADER)
     rows: dict[tuple[str, int], TimetabledConnection] = {}
     line_of: dict[tuple[str, int], int] = {}
-    for lineno, row in enumerate(reader, start=1):
-        if lineno == 1:
-            _check_header(row, TIMETABLE_HEADER, name)
-            continue
+    for lineno, row in body:
         if not row:
             continue
         if len(row) != len(TIMETABLE_HEADER):

@@ -88,6 +88,36 @@ class TestPlanCommand:
             assert code == 1
             assert f"error: {requests}:{message}" in capsys.readouterr().err
 
+    def test_row_after_a_multi_line_field_names_its_own_line(self, grid_dir, tmp_path, capsys):
+        requests = tmp_path / "req_ml.csv"
+        requests.write_text('agent,origin,destination\n"a\n1",S0105,S0100\na2,S0104,NOPE\n')
+        code = main(
+            [
+                "plan",
+                "--stops", str(grid_dir / "stops.csv"),
+                "--timetable", str(grid_dir / "timetable.csv"),
+                "--requests", str(requests),
+            ]
+        )
+        assert code == 1
+        assert f"error: {requests}:4: unknown destination stop 'NOPE'" in capsys.readouterr().err
+
+    def test_empty_timetable_is_input_error(self, grid_dir, tmp_path, capsys):
+        timetable = tmp_path / "timetable.csv"
+        timetable.write_text("")
+        requests = tmp_path / "requests.csv"
+        write_requests(requests, ["a1,S0100,S0102"])
+        code = main(
+            [
+                "plan",
+                "--stops", str(grid_dir / "stops.csv"),
+                "--timetable", str(timetable),
+                "--requests", str(requests),
+            ]
+        )
+        assert code == 1
+        assert f"error: {timetable}:1: expected header" in capsys.readouterr().err
+
     def test_broken_run_names_timetable_line(self, grid_dir, tmp_path, capsys):
         timetable = tmp_path / "timetable.csv"
         timetable.write_text(

@@ -11,7 +11,6 @@ from journeyshare.metrics import (
     prolongation,
 )
 from journeyshare.planning import AgentRequest, Plan, plan_individual
-from journeyshare.scheduling import Itinerary, LegAssignment
 
 from conftest import graph_of
 from oracle_utils import random_digraph, success_rates
@@ -23,9 +22,8 @@ def path_plan(agent, stops, graph) -> Plan:
     return Plan(agent=agent, legs=legs, total_cost=float(sum(graph.edges[leg] for leg in legs)))
 
 
-def itinerary(agent, depart, arrive) -> Itinerary:
-    leg = LegAssignment("A", "B", "service", "R", depart, arrive)
-    return Itinerary(agent=agent, legs=(leg,), depart=depart, arrive=arrive)
+def duration(depart, arrive) -> int:
+    return arrive - depart
 
 
 def costs(plans, joint, graph):
@@ -110,29 +108,26 @@ class TestCostImprovement:
 
 class TestProlongation:
     def test_identical_schedules_give_zero(self):
-        group = {1: itinerary(1, 0, 100), 2: itinerary(2, 10, 110)}
-        solo = {1: itinerary(1, 0, 100), 2: itinerary(2, 10, 110)}
+        group = {1: duration(0, 100), 2: duration(10, 110)}
+        solo = {1: duration(0, 100), 2: duration(10, 110)}
         assert prolongation(group, solo) == 0.0
 
     def test_hand_computed_quarter(self):
-        group = {1: itinerary(1, 0, 120), 2: itinerary(2, 0, 130)}
-        solo = {1: itinerary(1, 0, 100), 2: itinerary(2, 0, 100)}
+        group = {1: duration(0, 120), 2: duration(0, 130)}
+        solo = {1: duration(0, 100), 2: duration(0, 100)}
         assert prolongation(group, solo) == pytest.approx(0.25)
 
     def test_missing_solo_marks_not_computable(self):
-        group = {1: itinerary(1, 0, 120)}
-        assert prolongation(group, {1: None}) is None
+        group = {1: duration(0, 120)}
         assert prolongation(group, {}) is None
 
     def test_matches_straight_line_reimplementation(self):
         rng = random.Random(79)
         for _ in range(50):
             agents = list(range(1, rng.randint(2, 6)))
-            group = {a: itinerary(a, rng.randint(0, 100), rng.randint(200, 500)) for a in agents}
-            solo = {a: itinerary(a, rng.randint(0, 100), rng.randint(150, 400)) for a in agents}
-            expected = (
-                sum(i.duration for i in group.values()) - sum(i.duration for i in solo.values())
-            ) / sum(i.duration for i in solo.values())
+            group = {a: duration(rng.randint(0, 100), rng.randint(200, 500)) for a in agents}
+            solo = {a: duration(rng.randint(0, 100), rng.randint(150, 400)) for a in agents}
+            expected = (sum(group.values()) - sum(solo.values())) / sum(solo.values())
             assert prolongation(group, solo) == pytest.approx(expected, abs=1e-12)
 
 

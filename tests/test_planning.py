@@ -97,21 +97,32 @@ class TestPlanIndividual:
 
 @st.composite
 def occupancy_searches(draw):
-    """A random digraph with small integer costs, so that equal-cost paths are
-    common, random edge riders among N travellers, and one traveller's
-    origin-destination pair; most labelled edges carry all N travellers and so
-    cost exactly their floor."""
+    """A random digraph with integer costs up to 20, small ones often, so that
+    equal-cost paths are common; a route through every node from the
+    traveller's origin to its destination, with a shortcut from origin to
+    destination no dearer than the route; and edge riders among N
+    travellers.  The route's legs are always labelled.  In most examples,
+    every label carries all N travellers, or all but the replanning one, so
+    labelled edges cost exactly their floor, and a guide that leaves the
+    traveller out of the largest group overestimates by the most when N is
+    small."""
     nodes = [f"n{i}" for i in range(draw(st.integers(2, 9)))]
     pairs = [(a, b) for a in nodes for b in nodes if a != b]
-    edges = draw(st.dictionaries(st.sampled_from(pairs), st.integers(1, 4), min_size=1))
-    n_agents = draw(st.integers(1, 14))
+    costs = st.one_of(st.integers(1, 4), st.integers(1, 20))
+    edges = draw(st.dictionaries(st.sampled_from(pairs), costs))
+    route = draw(st.permutations(nodes))
+    route_legs = set(zip(route, route[1:]))
+    for leg in sorted(route_legs):
+        edges.setdefault(leg, draw(costs))
+    edges.setdefault((route[0], route[-1]), draw(st.integers(1, sum(edges[leg] for leg in route_legs))))
+    n_agents = draw(st.one_of(st.integers(2, 4), st.integers(1, 14)))
     everyone = frozenset(range(1, n_agents + 1))
-    users = st.one_of(st.just(everyone), st.frozensets(st.sampled_from(sorted(everyone)), min_size=1))
-    riders = draw(st.dictionaries(st.sampled_from(sorted(edges)), users))
     agent = draw(st.sampled_from(sorted(everyone)))
-    origin, destination = draw(st.lists(st.sampled_from(nodes), min_size=2, max_size=2, unique=True))
+    crowds = [st.just(everyone), st.just(everyone - {agent}), st.frozensets(st.sampled_from(sorted(everyone)), min_size=1)]
+    users = draw(st.sampled_from([*crowds, st.one_of(crowds)]))
+    riders = {edge: draw(users) for edge in sorted(edges) if edge in route_legs or draw(st.booleans())}
     graph = graph_of(edges, extra_nodes=set(nodes))
-    return graph, AgentRequest(agent, origin, destination), riders, n_agents
+    return graph, AgentRequest(agent, route[0], route[-1]), riders, n_agents
 
 
 def rider_oracle(graph, request, riders):

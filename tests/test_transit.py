@@ -153,6 +153,24 @@ class TestLoadNetwork:
         with pytest.raises(ParseError, match="^<timetable>:2: "):
             load_network(STOPS_4, rows)
 
+    def test_row_after_a_multi_line_field_names_its_own_line(self, tmp_path):
+        stops = tmp_path / "ml.csv"
+        stops.write_text('stop_id,name,lat,lon,mode\nA,"Two\nlines",55.0,-3.0,rail\nB,Bad,95.0,-3.0,rail\n')
+        with pytest.raises(ParseError, match=r"ml\.csv:4: .*latitude"):
+            load_stops(stops)
+        rows = TIMETABLE_4[:1] + ['"S', 'A",RA,1,W,X,60,10', "SA,RB,not_an_int,W,X,60,10"]
+        with pytest.raises(ParseError, match="^<timetable>:4: non-integer"):
+            load_network(STOPS_4, rows)
+
+    def test_empty_file_lacks_its_header(self, tmp_path):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        with pytest.raises(ParseError, match=r"empty\.csv:1: expected header"):
+            load_stops(empty)
+        with pytest.raises(ParseError, match=r"empty\.csv:1: expected header"):
+            load_network(STOPS_4, empty)
+        assert load_stops(STOPS_4[:1]) == {}
+
     def test_roundtrip_through_files(self, tmp_path):
         net = load_network(STOPS_4, TIMETABLE_4)
         save_network(net, tmp_path / "stops.csv", tmp_path / "timetable.csv")
