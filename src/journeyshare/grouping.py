@@ -3,9 +3,9 @@
 A group is found by traversing travellers: those whose routes meet at a stop,
 directly or transitively, share a group even when they share no edge, and
 each group is timetabled independently.  Within a group, the journey splits
-into parts, maximal chains travelled by one fixed set of agents.  The relevant timetable for a group keeps only services that
-connect stops of one part in travel direction, which admits direct trains
-over a stopping route.
+into parts, maximal chains travelled by one fixed set of agents.  The
+relevant timetable for a group keeps only services that connect stops of one
+part in travel direction, which admits direct trains over a stopping route.
 """
 
 from __future__ import annotations

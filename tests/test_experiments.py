@@ -608,7 +608,11 @@ class TestValidateResults:
 
     def test_row_after_a_multi_line_field_names_its_own_line(self, tmp_path):
         bad = tmp_path / "bad.csv"
-        rows = [",".join(RESULTS_COLUMNS), '"s\nx",2,NS,1,0.5,,,,,,0.1,0.1,0.1,0.3', "s,2,NS,1,high,,,,,,0.1,0.1,0.1,0.3"]
+        rows = [
+            ",".join(RESULTS_COLUMNS),
+            '"s\nx",2,NS,1,0.5,,,,,,0.1,0.1,0.1,0.3',
+            "s,2,NS,1,high,,,,,,0.1,0.1,0.1,0.3",
+        ]
         bad.write_text("\n".join(rows) + "\n")
         with pytest.raises(ParseError, match=r"bad\.csv:4: non-numeric delta_c 'high'"):
             validate_results_file(bad)

@@ -118,7 +118,11 @@ def occupancy_searches(draw):
     n_agents = draw(st.one_of(st.integers(2, 4), st.integers(1, 14)))
     everyone = frozenset(range(1, n_agents + 1))
     agent = draw(st.sampled_from(sorted(everyone)))
-    crowds = [st.just(everyone), st.just(everyone - {agent}), st.frozensets(st.sampled_from(sorted(everyone)), min_size=1)]
+    crowds = [
+        st.just(everyone),
+        st.just(everyone - {agent}),
+        st.frozensets(st.sampled_from(sorted(everyone)), min_size=1),
+    ]
     users = draw(st.sampled_from([*crowds, st.one_of(crowds)]))
     riders = {edge: draw(users) for edge in sorted(edges) if edge in route_legs or draw(st.booleans())}
     graph = graph_of(edges, extra_nodes=set(nodes))
