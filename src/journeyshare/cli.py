@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 input error, 2 internal invariant violation.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import logging
 import sys
@@ -20,7 +19,7 @@ from pathlib import Path
 from typing import Container
 
 from .config import EngineConfig, load_config
-from .errors import ConsistencyError, InputError, JourneyShareError, ParseError, csv_rows, read_text
+from .errors import ConsistencyError, InputError, JourneyShareError, ParseError, read_csv
 from .experiments import load_matrix, run_batch, run_pipeline, validate_results_file
 from .grouping import group_to_dict
 from .metrics import write_results_csv
@@ -33,29 +32,24 @@ logger = logging.getLogger(__name__)
 
 def load_requests(path: str | Path, stops: Container[str]) -> list[AgentRequest]:
     """The file's requests; ParseError at path:line for a bad row or a stop not in stops."""
-    with io.StringIO(read_text(path)) as fh:
-        rows = csv_rows(fh, str(path))
-        _, header = next(rows, (1, []))
-        if [c.strip() for c in header] != ["agent", "origin", "destination"]:
-            raise ParseError(f"{path}:1: expected header 'agent,origin,destination'")
-        requests = []
-        first_line: dict[str, int] = {}
-        for lineno, row in rows:
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            agent, origin, destination = (c.strip() for c in row)
-            if agent in first_line:
-                raise ParseError(f"{path}:{lineno}: duplicate agent id {agent!r} (first on line {first_line[agent]})")
-            first_line[agent] = lineno
-            try:
-                requests.append(AgentRequest(agent=agent, origin=origin, destination=destination))
-            except InputError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            for kind, stop in (("origin", origin), ("destination", destination)):
-                if stop not in stops:
-                    raise ParseError(f"{path}:{lineno}: unknown {kind} stop {stop!r}")
+    requests = []
+    first_line: dict[str, int] = {}
+    for lineno, row in read_csv(path, ["agent", "origin", "destination"]):
+        if not row:
+            continue
+        if len(row) != 3:
+            raise ParseError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
+        agent, origin, destination = (c.strip() for c in row)
+        if agent in first_line:
+            raise ParseError(f"{path}:{lineno}: duplicate agent id {agent!r} (first on line {first_line[agent]})")
+        first_line[agent] = lineno
+        try:
+            requests.append(AgentRequest(agent=agent, origin=origin, destination=destination))
+        except InputError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        for kind, stop in (("origin", origin), ("destination", destination)):
+            if stop not in stops:
+                raise ParseError(f"{path}:{lineno}: unknown {kind} stop {stop!r}")
     return requests
 
 

@@ -36,37 +36,34 @@ class EngineConfig:
 
 
 _KEY_TO_FIELD = {
-    "walk.max_km": ("walk_max_km", float),
-    "walk.speed_kmh": ("walk_speed_kmh", float),
-    "sched.limit.small_s": ("sched_limit_small_s", float),
-    "sched.limit.medium_s": ("sched_limit_medium_s", float),
-    "sched.limit.large_s": ("sched_limit_large_s", float),
+    "walk.max_km": "walk_max_km",
+    "walk.speed_kmh": "walk_speed_kmh",
+    "sched.limit.small_s": "sched_limit_small_s",
+    "sched.limit.medium_s": "sched_limit_medium_s",
+    "sched.limit.large_s": "sched_limit_large_s",
 }
 
 
-def parse_config_text(text: str, source: str = "<config>") -> EngineConfig:
+def load_config(path: str | Path) -> EngineConfig:
     values: dict[str, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ParseError(f"{source}:{lineno}: expected key=value, got {raw!r}")
+            raise ParseError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         if key not in _KEY_TO_FIELD:
-            raise ParseError(f"{source}:{lineno}: unknown config key {key!r}")
-        field_name, conv = _KEY_TO_FIELD[key]
+            raise ParseError(f"{path}:{lineno}: unknown config key {key!r}")
+        value = value.strip()
         try:
-            values[field_name] = conv(value.strip())
+            number = float(value)
         except ValueError as exc:
-            raise ParseError(f"{source}:{lineno}: bad value for {key}: {value.strip()!r}") from exc
-        if not math.isfinite(values[field_name]):
-            raise ParseError(f"{source}:{lineno}: {key} must be a finite number, got {value.strip()!r}")
-        if values[field_name] <= 0:
-            raise ParseError(f"{source}:{lineno}: {key} must be positive, got {value.strip()!r}")
+            raise ParseError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
+        if not math.isfinite(number):
+            raise ParseError(f"{path}:{lineno}: {key} must be a finite number, got {value!r}")
+        if number <= 0:
+            raise ParseError(f"{path}:{lineno}: {key} must be positive, got {value!r}")
+        values[_KEY_TO_FIELD[key]] = number
     return EngineConfig(**values)
-
-
-def load_config(path: str | Path) -> EngineConfig:
-    return parse_config_text(read_text(path), source=str(path))

@@ -3,12 +3,14 @@
 Everything raised on purpose derives from JourneyShareError so the CLI can
 map input problems to exit code 1 and internal invariant violations to 2.
 read_text is the one reader of input files, so that undecodable bytes are a
-ParseError too, and csv_rows the one CSV parser, so that malformed CSV is one.
+ParseError too, and read_csv, built on it, the one reader of CSV files, so
+that malformed CSV and a missing or wrong header are one as well.
 """
 
 import csv
+import io
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 class JourneyShareError(Exception):
@@ -54,18 +56,23 @@ def read_text(path: str | Path) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def csv_rows(lines: Iterable[str], name: str) -> Iterator[tuple[int, list[str]]]:
-    """The rows of csv.reader(lines), each with the line it starts on.
+def read_csv(path: str | Path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """The rows of a CSV file after its header, each with the line it starts on.
 
-    A quoted field may span lines, so a row starts on the line after the
-    one where the previous row ended.  Raises ParseError naming name and the
-    line at which the csv module gave up, e.g. on a field over its size limit.
+    A quoted field may span lines and keeps its newlines, so a row starts on
+    the line after the one where the previous row ended.  Raises ParseError
+    naming the file and line 1 when the header's stripped cells are not
+    header, and the line at which the csv module gave up, e.g. on a field
+    over its size limit.
     """
-    reader = csv.reader(lines)
-    line = 1
+    reader = csv.reader(io.StringIO(read_text(path)))
     try:
+        first = next(reader, [])
+        if [c.strip() for c in first] != header:
+            raise ParseError(f"{path}:1: expected header {','.join(header)!r}, got {','.join(first)!r}")
+        line = reader.line_num + 1
         for row in reader:
             yield line, row
             line = reader.line_num + 1
     except csv.Error as exc:
-        raise ParseError(f"{name}:{reader.line_num}: {exc}") from None
+        raise ParseError(f"{path}:{reader.line_num}: {exc}") from None

@@ -9,7 +9,6 @@ from the timing columns.
 
 from __future__ import annotations
 
-import io
 import json
 import logging
 import math
@@ -22,7 +21,7 @@ from typing import Sequence
 
 from .best_response import JointPlan, agent_cost, run_br_phase
 from .config import EngineConfig
-from .errors import ConsistencyError, InputError, JourneyShareError, ParseError, ScenarioError, csv_rows, read_text
+from .errors import ConsistencyError, InputError, JourneyShareError, ParseError, ScenarioError, read_csv, read_text
 from .grouping import Group, Part, identify_groups, relevant_timetable, split_into_parts
 from .metrics import RESULTS_COLUMNS, ExperimentResult, GroupRecord, cost_improvement, prolongation, write_results_csv
 from .planning import AgentId, AgentRequest, Plan, plan_individual
@@ -449,36 +448,31 @@ def _number(record: dict[str, str], col: str, where: str, kind=float):
 
 def validate_results_file(path: str | Path) -> int:
     """Re-check row-level invariants of a results.csv; returns the row count."""
-    with io.StringIO(read_text(path)) as fh:
-        rows = csv_rows(fh, str(path))
-        _, header = next(rows, (1, None))
-        if header != RESULTS_COLUMNS:
-            raise InputError(f"{path}: unexpected header {header}")
-        count = 0
-        for lineno, row in rows:
-            count += 1
-            where = f"{path}:{lineno}"
-            if len(row) != len(RESULTS_COLUMNS):
-                raise ParseError(f"{where}: expected {len(RESULTS_COLUMNS)} fields, got {len(row)}")
-            record = dict(zip(RESULTS_COLUMNS, row))
-            if record["delta_c"]:
-                if _number(record, "delta_c", where) < -1e-12:
-                    raise ConsistencyError(f"{path}:{lineno}: negative delta_c {record['delta_c']}")
-            is_summary = record["group_id"] == ""
-            if is_summary and (record["group_size"] or record["matched"] or record["delta_t"]):
-                raise ConsistencyError(f"{path}:{lineno}: summary row carries group fields")
-            if not is_summary:
-                if record["matched"] not in ("0", "1") or record["timed_out"] not in ("0", "1"):
-                    raise ConsistencyError(f"{path}:{lineno}: matched/timed_out must be 0 or 1")
-                if record["matched"] == "1" and record["timed_out"] == "1":
-                    raise ConsistencyError(f"{path}:{lineno}: timed-out group marked matched")
-                if record["delta_t"]:
-                    if record["matched"] != "1":
-                        raise ConsistencyError(f"{path}:{lineno}: delta_t present on unmatched group")
-                    _number(record, "delta_t", where)
-                if _number(record, "group_size", where, int) < 1:
-                    raise ConsistencyError(f"{path}:{lineno}: group_size must be >= 1")
-            for col in ("t_initial_s", "t_br_s", "t_schedule_s", "t_total_s"):
-                if record[col] == "" or _number(record, col, where) < 0:
-                    raise ConsistencyError(f"{path}:{lineno}: missing or negative timing {col}")
+    count = 0
+    for lineno, row in read_csv(path, RESULTS_COLUMNS):
+        count += 1
+        where = f"{path}:{lineno}"
+        if len(row) != len(RESULTS_COLUMNS):
+            raise ParseError(f"{where}: expected {len(RESULTS_COLUMNS)} fields, got {len(row)}")
+        record = dict(zip(RESULTS_COLUMNS, row))
+        if record["delta_c"]:
+            if _number(record, "delta_c", where) < -1e-12:
+                raise ConsistencyError(f"{path}:{lineno}: negative delta_c {record['delta_c']}")
+        is_summary = record["group_id"] == ""
+        if is_summary and (record["group_size"] or record["matched"] or record["delta_t"]):
+            raise ConsistencyError(f"{path}:{lineno}: summary row carries group fields")
+        if not is_summary:
+            if record["matched"] not in ("0", "1") or record["timed_out"] not in ("0", "1"):
+                raise ConsistencyError(f"{path}:{lineno}: matched/timed_out must be 0 or 1")
+            if record["matched"] == "1" and record["timed_out"] == "1":
+                raise ConsistencyError(f"{path}:{lineno}: timed-out group marked matched")
+            if record["delta_t"]:
+                if record["matched"] != "1":
+                    raise ConsistencyError(f"{path}:{lineno}: delta_t present on unmatched group")
+                _number(record, "delta_t", where)
+            if _number(record, "group_size", where, int) < 1:
+                raise ConsistencyError(f"{path}:{lineno}: group_size must be >= 1")
+        for col in ("t_initial_s", "t_br_s", "t_schedule_s", "t_total_s"):
+            if record[col] == "" or _number(record, col, where) < 0:
+                raise ConsistencyError(f"{path}:{lineno}: missing or negative timing {col}")
     return count

@@ -19,9 +19,9 @@ from functools import cached_property
 from itertools import chain, groupby
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
-from .errors import ParseError, ReferentialError, ValidationError, csv_rows, read_text
+from .errors import ParseError, ReferentialError, ValidationError, read_csv
 
 EARTH_RADIUS_KM = 6371.0
 DAY_MINUTES = 1440
@@ -263,42 +263,22 @@ def latitude_window_deg(km: float) -> float:
     return km / 111.0 + 1e-9
 
 
-def _csv_body(
-    source: str | Path | Iterable[str], label: str, header: list[str]
-) -> tuple[Iterator[tuple[int, list[str]]], str]:
-    """The (line, row) pairs after the header, and the name of the source (label
-    when it is not a file).
-
-    Raises ParseError at line 1 when the header is missing or wrong.
-    """
-    name = label
-    if isinstance(source, (str, Path)):
-        name = str(Path(source))
-        source = read_text(source).splitlines()
-    rows = csv_rows(source, name)
-    _, first = next(rows, (1, []))
-    if [c.strip() for c in first] != header:
-        raise ParseError(f"{name}:1: expected header {','.join(header)!r}, got {','.join(first)!r}")
-    return rows, name
-
-
-def load_stops(source: str | Path | Iterable[str]) -> dict[str, Stop]:
-    rows, name = _csv_body(source, "<stops>", STOPS_HEADER)
+def load_stops(path: str | Path) -> dict[str, Stop]:
     stops: dict[str, Stop] = {}
-    for lineno, row in rows:
+    for lineno, row in read_csv(path, STOPS_HEADER):
         if not row:
             continue
         if len(row) != len(STOPS_HEADER):
-            raise ParseError(f"{name}:{lineno}: expected {len(STOPS_HEADER)} fields, got {len(row)}")
+            raise ParseError(f"{path}:{lineno}: expected {len(STOPS_HEADER)} fields, got {len(row)}")
         stop_id, stop_name, lat, lon, mode = (c.strip() for c in row)
         try:
             stop = Stop(stop_id, stop_name, float(lat), float(lon), mode)
         except ValueError as exc:
-            raise ParseError(f"{name}:{lineno}: bad coordinate in {row!r}") from exc
+            raise ParseError(f"{path}:{lineno}: bad coordinate in {row!r}") from exc
         except ValidationError as exc:
-            raise ParseError(f"{name}:{lineno}: {exc}") from exc
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
         if stop.id in stops:
-            raise ParseError(f"{name}:{lineno}: duplicate stop id {stop.id!r}")
+            raise ParseError(f"{path}:{lineno}: duplicate stop id {stop.id!r}")
         stops[stop.id] = stop
     return stops
 
@@ -343,10 +323,7 @@ def make_network(stops: Mapping[str, Stop], connections: Iterable[TimetabledConn
     return TransitNetwork(stops=stops, connections=connections)
 
 
-def load_network(
-    stops_source: str | Path | Iterable[str],
-    timetable_source: str | Path | Iterable[str],
-) -> TransitNetwork:
+def load_network(stops_path: str | Path, timetable_path: str | Path) -> TransitNetwork:
     """Load and validate a network from the stops and timetable CSV files.
 
     Duplicate timetable rows (same run_id and seq) collapse to the last
@@ -354,33 +331,32 @@ def load_network(
     dangling stop ids and ValidationError on broken run structure, each
     naming the file and line of the offending row.
     """
-    stops = load_stops(stops_source)
-    body, name = _csv_body(timetable_source, "<timetable>", TIMETABLE_HEADER)
+    stops = load_stops(stops_path)
     rows: dict[tuple[str, int], TimetabledConnection] = {}
     line_of: dict[tuple[str, int], int] = {}
-    for lineno, row in body:
+    for lineno, row in read_csv(timetable_path, TIMETABLE_HEADER):
         if not row:
             continue
         if len(row) != len(TIMETABLE_HEADER):
-            raise ParseError(f"{name}:{lineno}: expected {len(TIMETABLE_HEADER)} fields, got {len(row)}")
+            raise ParseError(f"{timetable_path}:{lineno}: expected {len(TIMETABLE_HEADER)} fields, got {len(row)}")
         service_id, run_id, seq, from_stop, to_stop, departure, duration = (c.strip() for c in row)
         try:
             conn = TimetabledConnection(
                 service_id, run_id, int(seq), from_stop, to_stop, int(departure), int(duration)
             )
         except ValueError as exc:
-            raise ParseError(f"{name}:{lineno}: non-integer field in {row!r}") from exc
+            raise ParseError(f"{timetable_path}:{lineno}: non-integer field in {row!r}") from exc
         except ValidationError as exc:
-            raise ParseError(f"{name}:{lineno}: {exc}") from exc
+            raise ParseError(f"{timetable_path}:{lineno}: {exc}") from exc
         for stop_id in (conn.from_stop, conn.to_stop):
             if stop_id not in stops:
-                raise ReferentialError(f"{name}:{lineno}: unknown stop {stop_id!r}")
+                raise ReferentialError(f"{timetable_path}:{lineno}: unknown stop {stop_id!r}")
         rows[(conn.run_id, conn.seq)] = conn
         line_of[(conn.run_id, conn.seq)] = lineno
     try:
         return make_network(stops, rows.values())
     except _BrokenRun as exc:
-        raise ValidationError(f"{name}:{line_of[(exc.leg.run_id, exc.leg.seq)]}: {exc}") from None
+        raise ValidationError(f"{timetable_path}:{line_of[(exc.leg.run_id, exc.leg.seq)]}: {exc}") from None
 
 
 def save_network(network: TransitNetwork, stops_path: str | Path, timetable_path: str | Path) -> None:

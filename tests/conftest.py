@@ -1,6 +1,32 @@
+import atexit
+import functools
+import shutil
+import tempfile
+from pathlib import Path
+
 import pytest
 
 from journeyshare.transit import RelaxedGraph
+
+
+@functools.cache
+def _csv_root() -> str:
+    root = tempfile.mkdtemp(prefix="journeyshare-tests-")
+    atexit.register(shutil.rmtree, root, ignore_errors=True)
+    return root
+
+
+def write_csv(lines: list[str]) -> Path:
+    """Write lines, one row each, to a new file rows.csv in a fresh temporary
+    directory and return its path.
+
+    Unlike the tmp_path fixture this works anywhere, in plain loops and
+    Hypothesis tests too; every directory is removed when the session exits.
+    """
+    path = Path(tempfile.mkdtemp(dir=_csv_root())) / "rows.csv"
+    path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    return path
+
 
 SIX_STOP_STOPS = [
     "stop_id,name,lat,lon,mode",
@@ -37,7 +63,7 @@ def graph_of(edges: dict[tuple[str, str], int], extra_nodes: set[str] = frozense
 def six_stop_network():
     from journeyshare.transit import load_network
 
-    return load_network(SIX_STOP_STOPS, SIX_STOP_TIMETABLE)
+    return load_network(write_csv(SIX_STOP_STOPS), write_csv(SIX_STOP_TIMETABLE))
 
 
 @pytest.fixture

@@ -225,6 +225,24 @@ class TestPlanCommand:
         )
         assert code == 1
 
+    def test_config_lines_end_only_at_newlines(self, grid_dir, tmp_path, capsys):
+        # a line separator inside a comment neither ends the comment nor shifts the line count
+        cfg = tmp_path / "engine.cfg"
+        cfg.write_text("# walk\u2028settings\nwalk.pace=1\n", encoding="utf-8")
+        requests = tmp_path / "requests.csv"
+        write_requests(requests, ["a1,S0105,S0100"])
+        code = main(
+            [
+                "plan",
+                "--stops", str(grid_dir / "stops.csv"),
+                "--timetable", str(grid_dir / "timetable.csv"),
+                "--requests", str(requests),
+                "--config", str(cfg),
+            ]
+        )
+        assert code == 1
+        assert f"error: {cfg}:2: unknown config key 'walk.pace'" in capsys.readouterr().err
+
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
     def test_non_finite_config_value_names_file_and_line(self, grid_dir, tmp_path, capsys, value):
@@ -385,6 +403,13 @@ class TestExperimentAndValidate:
         code = main(["validate", "--results", str(bad)])
         assert code == 1
         assert f"{bad}:2: not valid UTF-8" in capsys.readouterr().err
+
+    def test_validate_empty_file_names_its_header_line(self, tmp_path, capsys):
+        empty = tmp_path / "empty_results.csv"
+        empty.write_text("")
+        code = main(["validate", "--results", str(empty)])
+        assert code == 1
+        assert f"error: {empty}:1: expected header" in capsys.readouterr().err
 
     def test_validate_missing_file(self, tmp_path):
         code = main(["validate", "--results", str(tmp_path / "absent.csv")])

@@ -29,6 +29,7 @@ from journeyshare.synth import (
 )
 from journeyshare.transit import haversine_km, load_network
 
+from conftest import write_csv
 from oracle_utils import all_pairs_admissible
 
 GRID = SyntheticNetworkSpec(width=6, height=8, spacing_km=8.0, headway_min=60, leg_min=10)
@@ -204,7 +205,8 @@ class TestQuadrants:
         rows = ["stop_id,name,lat,lon,mode"] + [
             f"S{i},Stop,{55.0 + i * 0.001!r},{-3.0 + i * 0.001!r},rail" for i in range(6)
         ]
-        net = load_network(rows, ["service_id,run_id,seq,from_stop,to_stop,departure_min,duration_min"])
+        timetable = write_csv(["service_id,run_id,seq,from_stop,to_stop,departure_min,duration_min"])
+        net = load_network(write_csv(rows), timetable)
         with pytest.raises(ScenarioError):
             sample_requests(admissible_pairs(net, "NS", 0.0001, 160), 2, seed=1)
 
@@ -266,7 +268,7 @@ class TestRunPipeline:
             "service_id,run_id,seq,from_stop,to_stop,departure_min,duration_min",
             "S1,R1,1,A,B,60,30",
         ]
-        net = load_network(rows, tt)
+        net = load_network(write_csv(rows), write_csv(tt))
         requests = [
             AgentRequest(agent=1, origin="A", destination="B"),
             AgentRequest(agent=2, origin="A", destination="Z"),
@@ -295,7 +297,7 @@ class TestRunPipeline:
             "C1,C1a,1,D,E,600,40",
             "C1,C1a,2,E,F,645,40",
         ]
-        net = load_network(stops, tt)
+        net = load_network(write_csv(stops), write_csv(tt))
         requests = [AgentRequest(agent=1, origin="A", destination="F")]
         artifacts = run_pipeline(net, requests)
         result = artifacts.result
@@ -320,7 +322,7 @@ class TestRunPipeline:
         for run, start in (("L1a", 60), ("L1b", 400)):
             for seq, (a, b) in enumerate(zip("ABCD", "BCDA"), start=1):
                 tt.append(f"L1,{run},{seq},{a},{b},{start + 40 * (seq - 1)},30")
-        net = load_network(stops, tt)
+        net = load_network(write_csv(stops), write_csv(tt))
         calls = count_solo_baselines(monkeypatch)
         requests = [AgentRequest(1, "A", "D"), AgentRequest(2, "C", "B")]
         result = run_pipeline(net, requests).result
@@ -582,7 +584,7 @@ class TestValidateResults:
     def test_rejects_bad_header(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("nope,header\n1,2\n")
-        with pytest.raises(InputError):
+        with pytest.raises(ParseError, match=r"bad\.csv:1: expected header 'scenario,.*', got 'nope,header'$"):
             validate_results_file(bad)
 
     def test_rejects_negative_delta_c(self, tmp_path):

@@ -18,7 +18,7 @@ from journeyshare.scheduling import schedule_group
 from journeyshare.synth import SyntheticNetworkSpec, build_synthetic_network, stop_id
 from journeyshare.transit import add_walking_links, load_network
 
-from conftest import graph_of
+from conftest import graph_of, write_csv
 from oracle_utils import UnionFind, brute_force_relevant_timetable, random_digraph
 
 
@@ -201,7 +201,7 @@ CORRIDOR_TIMETABLE = [
 
 class TestRelevantTimetable:
     def test_direct_and_stopping_trains_included(self):
-        net = load_network(CORRIDOR_STOPS, CORRIDOR_TIMETABLE)
+        net = load_network(write_csv(CORRIDOR_STOPS), write_csv(CORRIDOR_TIMETABLE))
         p1 = path_plan(1, ("C", "D", "E", "F"))
         p2 = path_plan(2, ("C", "D", "E", "F"))
         parts = split_into_parts(identify_groups(merge_plans([p1, p2]))[0])
@@ -213,13 +213,13 @@ class TestRelevantTimetable:
         assert all(c.to_stop != "OUT" for c in tt.connections)
 
     def test_two_stop_part_keeps_only_direct_connections(self):
-        net = load_network(CORRIDOR_STOPS, CORRIDOR_TIMETABLE)
+        net = load_network(write_csv(CORRIDOR_STOPS), write_csv(CORRIDOR_TIMETABLE))
         parts = split_into_parts(identify_groups(merge_plans([path_plan(1, ("D", "E"))]))[0])
         tt = relevant_timetable(parts, net)
         assert {(c.from_stop, c.to_stop) for c in tt.connections} == {("D", "E")}
 
     def test_forward_index_soundness(self):
-        net = load_network(CORRIDOR_STOPS, CORRIDOR_TIMETABLE)
+        net = load_network(write_csv(CORRIDOR_STOPS), write_csv(CORRIDOR_TIMETABLE))
         parts = split_into_parts(identify_groups(merge_plans([path_plan(1, ("C", "D", "E", "F"))]))[0])
         tt = relevant_timetable(parts, net)
         for conn in tt.connections:

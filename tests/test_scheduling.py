@@ -18,6 +18,7 @@ from journeyshare.scheduling import (
 )
 from journeyshare.transit import DAY_MINUTES, TimetabledConnection, TransitNetwork, WalkingLink, load_network
 
+from conftest import write_csv
 from oracle_utils import oracle_agent_durations, oracle_schedule
 
 
@@ -358,7 +359,8 @@ class TestScheduleSingleAgent:
             "Q,Quay,55.003,-3.0,coach",
             "R,Road,55.006,-3.0,rail",
         ]
-        net = load_network(stops, ["service_id,run_id,seq,from_stop,to_stop,departure_min,duration_min"])
+        timetable = write_csv(["service_id,run_id,seq,from_stop,to_stop,departure_min,duration_min"])
+        net = load_network(write_csv(stops), timetable)
         from journeyshare.transit import add_walking_links
 
         net = add_walking_links(net, max_distance_km=0.5, walk_speed_kmh=5.0)
@@ -386,7 +388,7 @@ class TestScheduleSingleAgent:
             "T2,T2a,2,D,E,280,30",
             "T2,T2a,3,E,F,320,30",
         ]
-        net = load_network(stops, rows)
+        net = load_network(write_csv(stops), write_csv(rows))
         plan = path_plan(7, ("C", "D", "E", "F"))
         result = schedule_single_agent(plan, net)
         assert result.feasible
@@ -406,7 +408,7 @@ class TestScheduleSingleAgent:
                 rows.append(
                     f"S{idx},R{idx},1,{names[i]},{names[j]},{rng.randint(0, 1200)},{rng.randint(5, 90)}"
                 )
-            net = load_network(stops, rows)
+            net = load_network(write_csv(stops), write_csv(rows))
             plan = path_plan(1, tuple(names))
             result = schedule_single_agent(plan, net)
             part = plan_as_single_part(plan)

@@ -25,7 +25,7 @@ from journeyshare.transit import (
     save_network,
 )
 
-from conftest import SIX_STOP_STOPS
+from conftest import SIX_STOP_STOPS, write_csv
 from oracle_utils import express_excluded_per_run
 
 STOPS_4 = [
@@ -51,50 +51,52 @@ TIMETABLE_4 = [
 
 class TestLoadNetwork:
     def test_dedup_by_run_and_seq_keeps_last(self):
-        net = load_network(STOPS_4, TIMETABLE_4)
+        net = load_network(write_csv(STOPS_4), write_csv(TIMETABLE_4))
         assert len(net.stops) == 4
         assert len(net.connections) == 6
         last = [c for c in net.connections if c.run_id == "RB" and c.seq == 3]
         assert len(last) == 1 and last[0].duration == 9
 
     def test_empty_timetable(self):
-        net = load_network(STOPS_4, ["service_id,run_id,seq,from_stop,to_stop,departure_min,duration_min"])
+        net = load_network(write_csv(STOPS_4), write_csv(TIMETABLE_4[:1]))
         assert len(net.connections) == 0
         assert len(net.stops) == 4
 
     def test_unknown_stop_reference(self):
         rows = TIMETABLE_4[:2] + ["SA,RC,1,W,X999,60,10"]
         with pytest.raises(ReferentialError, match="X999"):
-            load_network(STOPS_4, rows)
+            load_network(write_csv(STOPS_4), write_csv(rows))
 
     def test_malformed_row_names_line(self):
         rows = TIMETABLE_4[:1] + ["SA,RA,not_an_int,W,X,60,10"]
         with pytest.raises(ParseError, match=":2"):
-            load_network(STOPS_4, rows)
+            load_network(write_csv(STOPS_4), write_csv(rows))
 
     def test_bad_header_rejected(self):
-        with pytest.raises(ParseError, match=":1"):
-            load_network(["id,name"], TIMETABLE_4[:1])
+        stops = write_csv(["id, name"])
+        with pytest.raises(ParseError) as loaded:
+            load_network(stops, write_csv(TIMETABLE_4[:1]))
+        assert str(loaded.value) == f"{stops}:1: expected header 'stop_id,name,lat,lon,mode', got 'id, name'"
 
     def test_duplicate_stop_id(self):
         rows = STOPS_4 + ["W,Again,55.4,-3.0,rail"]
         with pytest.raises(ParseError, match="duplicate"):
-            load_network(rows, TIMETABLE_4[:1])
+            load_network(write_csv(rows), write_csv(TIMETABLE_4[:1]))
 
     def test_non_consecutive_seq_rejected(self):
         rows = TIMETABLE_4[:1] + ["SA,RA,1,W,X,60,10", "SA,RA,3,X,Y,90,10"]
         with pytest.raises(ValidationError, match="consecutive"):
-            load_network(STOPS_4, rows)
+            load_network(write_csv(STOPS_4), write_csv(rows))
 
     def test_broken_run_chain_rejected(self):
         rows = TIMETABLE_4[:1] + ["SA,RA,1,W,X,60,10", "SA,RA,2,Y,Z,90,10"]
         with pytest.raises(ValidationError, match="previous leg ends"):
-            load_network(STOPS_4, rows)
+            load_network(write_csv(STOPS_4), write_csv(rows))
 
     def test_departure_before_previous_arrival_rejected(self):
         rows = TIMETABLE_4[:1] + ["SA,RA,1,W,X,60,30", "SA,RA,2,X,Y,80,10"]
         with pytest.raises(ValidationError, match="before arrival"):
-            load_network(STOPS_4, rows)
+            load_network(write_csv(STOPS_4), write_csv(rows))
 
     @pytest.mark.parametrize(
         "legs, line, problem",
@@ -123,35 +125,46 @@ class TestLoadNetwork:
         ],
     )
     def test_broken_run_names_line_of_offending_leg(self, legs, line, problem):
+        timetable = write_csv(TIMETABLE_4[:1] + legs)
         with pytest.raises(ValidationError) as loaded:
-            load_network(STOPS_4, TIMETABLE_4[:1] + legs)
-        assert str(loaded.value) == f"<timetable>:{line}: {problem}"
+            load_network(write_csv(STOPS_4), timetable)
+        assert str(loaded.value) == f"{timetable}:{line}: {problem}"
         # networks built from objects keep the bare message
         connections = []
         for leg in legs:
             service, run, seq, a, b, departure, duration = leg.split(",")
             connections.append(TimetabledConnection(service, run, int(seq), a, b, int(departure), int(duration)))
         with pytest.raises(ValidationError) as made:
-            make_network(load_stops(STOPS_4), connections)
+            make_network(load_stops(write_csv(STOPS_4)), connections)
         assert str(made.value) == problem
 
     def test_broken_run_names_line_of_the_row_kept(self):
         # a repeated (run_id, seq) row collapses to its last occurrence, which is the one named
         legs = ["SA,RA,1,W,X,60,10", "SA,RA,2,X,Y,75,12", "SB,RB,1,Z,Y,600,13", "SA,RA,2,Y,Z,75,12"]
-        with pytest.raises(ValidationError, match="^<timetable>:5: run RA seq 2: departs Y but previous leg ends at X$"):
-            load_network(STOPS_4, TIMETABLE_4[:1] + legs)
+        timetable = write_csv(TIMETABLE_4[:1] + legs)
+        with pytest.raises(ValidationError) as loaded:
+            load_network(write_csv(STOPS_4), timetable)
+        assert str(loaded.value) == f"{timetable}:5: run RA seq 2: departs Y but previous leg ends at X"
+
+    @pytest.mark.parametrize(
+        "leg, problem",
+        [
+            ("SA,RA,1,W,W,60,10", "run RA seq 1: leg loops at W"),
+            ("SA,RA,1,W,X,-1,10", "run RA seq 1: departure -1 outside [0, 1440)"),
+            ("SA,RA,1,W,X,1440,10", "run RA seq 1: departure 1440 outside [0, 1440)"),
+            ("SA,RA,1,W,X,60,0", "run RA seq 1: duration must be positive"),
+        ],
+    )
+    def test_bad_leg_names_its_line(self, leg, problem):
+        timetable = write_csv(TIMETABLE_4[:3] + [leg])
+        with pytest.raises(ParseError) as loaded:
+            load_network(write_csv(STOPS_4), timetable)
+        assert str(loaded.value) == f"{timetable}:4: {problem}"
 
     def test_coordinate_out_of_range(self):
         rows = ["stop_id,name,lat,lon,mode", "Q,Quux,95.0,-3.0,rail"]
         with pytest.raises(ParseError, match="latitude"):
-            load_network(rows, TIMETABLE_4[:1])
-
-    def test_in_memory_sources_are_named_by_kind(self):
-        with pytest.raises(ParseError, match="^<stops>:2: "):
-            load_stops(["stop_id,name,lat,lon,mode", "S1,x,95,0,rail"])
-        rows = TIMETABLE_4[:1] + ["SA,RA,not_an_int,W,X,60,10"]
-        with pytest.raises(ParseError, match="^<timetable>:2: "):
-            load_network(STOPS_4, rows)
+            load_network(write_csv(rows), write_csv(TIMETABLE_4[:1]))
 
     def test_row_after_a_multi_line_field_names_its_own_line(self, tmp_path):
         stops = tmp_path / "ml.csv"
@@ -159,8 +172,20 @@ class TestLoadNetwork:
         with pytest.raises(ParseError, match=r"ml\.csv:4: .*latitude"):
             load_stops(stops)
         rows = TIMETABLE_4[:1] + ['"S', 'A",RA,1,W,X,60,10', "SA,RB,not_an_int,W,X,60,10"]
-        with pytest.raises(ParseError, match="^<timetable>:4: non-integer"):
-            load_network(STOPS_4, rows)
+        timetable = write_csv(rows)
+        with pytest.raises(ParseError) as loaded:
+            load_network(write_csv(STOPS_4), timetable)
+        assert str(loaded.value).startswith(f"{timetable}:4: non-integer")
+
+    def test_quoted_newline_survives_a_round_trip(self, tmp_path):
+        stops = write_csv(["stop_id,name,lat,lon,mode", 'A,"Two', 'lines",55.0,-3.0,rail', "B,Bee,55.1,-3.0,rail"])
+        timetable = write_csv(TIMETABLE_4[:1] + ["SA,RA,1,A,B,60,10"])
+        net = load_network(stops, timetable)
+        assert net.stops["A"].name == "Two\nlines"
+        save_network(net, tmp_path / "stops.csv", tmp_path / "timetable.csv")
+        reloaded = load_network(tmp_path / "stops.csv", tmp_path / "timetable.csv")
+        assert reloaded.stops == net.stops
+        assert reloaded.connections == net.connections
 
     def test_empty_file_lacks_its_header(self, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -168,11 +193,11 @@ class TestLoadNetwork:
         with pytest.raises(ParseError, match=r"empty\.csv:1: expected header"):
             load_stops(empty)
         with pytest.raises(ParseError, match=r"empty\.csv:1: expected header"):
-            load_network(STOPS_4, empty)
-        assert load_stops(STOPS_4[:1]) == {}
+            load_network(write_csv(STOPS_4), empty)
+        assert load_stops(write_csv(STOPS_4[:1])) == {}
 
     def test_roundtrip_through_files(self, tmp_path):
-        net = load_network(STOPS_4, TIMETABLE_4)
+        net = load_network(write_csv(STOPS_4), write_csv(TIMETABLE_4))
         save_network(net, tmp_path / "stops.csv", tmp_path / "timetable.csv")
         reloaded = load_network(tmp_path / "stops.csv", tmp_path / "timetable.csv")
         assert reloaded.stops == dict(net.stops)
@@ -225,7 +250,7 @@ class TestValueObjects:
         assert WalkingLink("W", "X", 9) not in links
 
     def test_network_pickle_round_trip(self):
-        net = add_walking_links(load_network(STOPS_4, TIMETABLE_4), max_distance_km=20.0)
+        net = add_walking_links(load_network(write_csv(STOPS_4), write_csv(TIMETABLE_4)), max_distance_km=20.0)
         restored = pickle.loads(pickle.dumps(net))
         assert restored.stops == net.stops
         assert restored.connections == net.connections
@@ -272,7 +297,7 @@ def _two_stop_network(km_apart: float):
         "P,Pier,55.0,-3.0,rail",
         f"Q,Quay,{55.0 + dlat!r},-3.0,coach",
     ]
-    return load_network(rows, ["service_id,run_id,seq,from_stop,to_stop,departure_min,duration_min"])
+    return load_network(write_csv(rows), write_csv(TIMETABLE_4[:1]))
 
 
 class TestWalkingLinks:
@@ -295,7 +320,7 @@ class TestWalkingLinks:
         rows = ["stop_id,name,lat,lon,mode"]
         for i in range(30):
             rows.append(f"S{i:02d},Stop {i},{55 + rng.uniform(0, 0.02)!r},{-3 + rng.uniform(0, 0.02)!r},rail")
-        net = load_network(rows, ["service_id,run_id,seq,from_stop,to_stop,departure_min,duration_min"])
+        net = load_network(write_csv(rows), write_csv(TIMETABLE_4[:1]))
         net = add_walking_links(net, max_distance_km=0.8, walk_speed_kmh=5.0)
         assert net.walking_links
         durations = {(l.from_stop, l.to_stop): l.duration for l in net.walking_links}
@@ -313,7 +338,7 @@ class TestWalkingLinks:
                 lon = -3 + rng.uniform(0, 0.03)
                 coords[f"S{i:02d}"] = (lat, lon)
                 rows.append(f"S{i:02d},Stop {i},{lat!r},{lon!r},rail")
-            net = load_network(rows, ["service_id,run_id,seq,from_stop,to_stop,departure_min,duration_min"])
+            net = load_network(write_csv(rows), write_csv(TIMETABLE_4[:1]))
             net = add_walking_links(net, max_distance_km=0.6, walk_speed_kmh=5.0)
             got = {(l.from_stop, l.to_stop) for l in net.walking_links}
             expected = {
@@ -342,7 +367,7 @@ class TestRelaxedGraph:
             "SV2,stopper,3,E,F,225,30",
             "SV3,nonstop,1,C,F,110,100",
         ]
-        graph = build_relaxed_graph(load_network(SIX_STOP_STOPS, rows))
+        graph = build_relaxed_graph(load_network(write_csv(SIX_STOP_STOPS), write_csv(rows)))
         assert set(graph.edges) == {("C", "D"), ("D", "E"), ("E", "F")}
 
     def test_singleton_timetable(self):
@@ -350,7 +375,7 @@ class TestRelaxedGraph:
             "service_id,run_id,seq,from_stop,to_stop,departure_min,duration_min",
             "SV1,only,1,A,B,60,25",
         ]
-        graph = build_relaxed_graph(load_network(SIX_STOP_STOPS, rows))
+        graph = build_relaxed_graph(load_network(write_csv(SIX_STOP_STOPS), write_csv(rows)))
         assert dict(graph.edges) == {("A", "B"): 25}
 
     def test_walking_link_becomes_edge(self):
@@ -373,7 +398,7 @@ class TestRelaxedGraph:
             rows.append(f"S{run},R{run},1,{a},{b},{rng.randint(0, 1300)},{dur}")
             run += 1
             expected[(a, b)] = min(expected.get((a, b), dur), dur)
-        graph = build_relaxed_graph(load_network(stops, rows))
+        graph = build_relaxed_graph(load_network(write_csv(stops), write_csv(rows)))
         # single-leg runs cannot trigger the express filter
         assert dict(graph.edges) == expected
 
@@ -391,7 +416,7 @@ class TestRelaxedGraph:
             "SV2,stopper,2,D,F,150,70",
             "SV3,nonstop,1,C,F,110,100",
         ]
-        net = add_walking_links(load_network(stops, rows), max_distance_km=0.5)
+        net = add_walking_links(load_network(write_csv(stops), write_csv(rows)), max_distance_km=0.5)
         graph = build_relaxed_graph(net)
         assert ("C", "F") not in graph.edges
         assert ("F", "C") in graph.edges  # reverse walking link is unaffected
@@ -416,7 +441,7 @@ class TestRelaxedGraph:
                     dur = rng.randint(5, 30)
                     rows.append(f"S{r},R{r},{k + 1},{visits[k]},{visits[k + 1]},{t},{dur}")
                     t += dur + rng.randint(0, 10)
-            net = load_network(stops, rows)
+            net = load_network(write_csv(stops), write_csv(rows))
             graph = build_relaxed_graph(net)
             direct = {(c.from_stop, c.to_stop) for c in net.connections}
             for pair, cost in graph.edges.items():
@@ -487,7 +512,7 @@ class TestExpressFilterPerPattern:
             stops = ["stop_id,name,lat,lon,mode"] + [
                 f"{x},Node,{55 + i * 0.01!r},-3.0,rail" for i, x in enumerate(names)
             ]
-            net = load_network(stops, _shared_pattern_timetable(rng, names))
+            net = load_network(write_csv(stops), write_csv(_shared_pattern_timetable(rng, names)))
             expected = express_excluded_per_run(net)
             assert _express_excluded(net) == expected, f"trial {trial}"
             dropped += bool(expected)
@@ -506,7 +531,7 @@ class TestExpressFilterPerPattern:
             "S2,R4,1,A,D,500,10", "S2,R4,2,D,C,510,10", "S2,R4,3,C,A,520,10", "S2,R4,4,A,D,530,10",
             "S3,R6,1,D,A,600,10",
         ]
-        net = load_network(stops, rows)
+        net = load_network(write_csv(stops), write_csv(rows))
         expected = express_excluded_per_run(net)
         assert _express_excluded(net) == expected
         assert ("A", "B") in expected and ("A", "C") not in expected
