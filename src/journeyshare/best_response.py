@@ -2,10 +2,12 @@
 
 Sharing an edge with n-1 others cuts the edge cost to (0.8/n + 0.2) of the
 solo duration (planning.shared_cost).  A best-response step is one
-plan_individual search that prices edges from the joint plan's labels.
-Round-robin best-response replanning under that cost is a congestion game
-with a Rosenthal-style potential, so it settles in a state where no traveller
-can lower their own cost by rerouting alone.
+plan_individual search that prices edges from an Occupancy: the others'
+counts per edge slot, the replanning traveller taken off its own legs.  A
+step skips its search when nothing that search would read has changed since
+the traveller's last one.  Round-robin best-response replanning under that
+cost is a congestion game with a Rosenthal-style potential, so it settles in
+a state where no traveller can lower their own cost by rerouting alone.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from .errors import InputError
-from .planning import AgentId, AgentRequest, Edge, Plan, plan_individual, shared_cost
+from .planning import AgentId, AgentRequest, Edge, Occupancy, Plan, plan_individual, shared_cost
 from .transit import RelaxedGraph
 
 logger = logging.getLogger(__name__)
@@ -76,21 +78,31 @@ def agent_cost(joint: JointPlan, agent: AgentId, graph: RelaxedGraph) -> float:
     return total
 
 
+def _leg_slots(plan: Plan, graph: RelaxedGraph) -> tuple[int, ...]:
+    """The graph slots of the plan's legs; InputError for a leg off the graph."""
+    slots = graph.slots
+    for leg in plan.legs:
+        if leg not in slots:
+            raise InputError(f"agent {plan.agent!r} plan leg {leg} is not a relaxed-graph edge")
+    return tuple(map(slots.__getitem__, plan.legs))
+
+
 def best_response_step(joint: JointPlan, agent: AgentId, graph: RelaxedGraph) -> Plan:
     """The agent's cheapest route against the others' fixed routes.
 
-    Falls back to the current plan (logged) if the destination became
-    unreachable under the current graph.
+    Every plan's legs must be graph edges (InputError), so the agent's own
+    plan shows that its destination is reachable.
     """
     current = joint.per_agent.get(agent)
     if current is None:
         raise InputError(f"agent {agent!r} not present in joint plan")
+    occupancy = Occupancy(graph)
+    for plan in joint.per_agent.values():
+        slots = _leg_slots(plan, graph)
+        if plan.agent != agent:
+            occupancy.board(slots)
     request = AgentRequest(agent=agent, origin=current.legs[0][0], destination=current.legs[-1][1])
-    best = plan_individual(graph, request, joint.edges)
-    if best is None:
-        logger.warning("agent %r has no route in best-response step; keeping current plan", agent)
-        return current
-    return best
+    return plan_individual(graph, request, occupancy)
 
 
 def run_br_phase(
@@ -106,31 +118,72 @@ def run_br_phase(
     improvement remains.  MAX_ROUNDS caps the sweeps.
 
     The phase merges the initial plans once, rejecting a leg that is not a
-    graph edge (InputError), and edits that joint plan in place: an adopted
-    plan moves its agent between labels, each replaced by a new frozenset.
-    It returns the same plan, which on_step gets after every step: an
-    observer that keeps it must copy its maps.
+    graph edge (InputError), and counts the travellers per edge slot.  Each
+    step takes its traveller off its legs, so that the counts are what a
+    plan_individual search reads, and puts it back on the legs it keeps.  A
+    step repeats no search whose inputs are unchanged: if no adoption since
+    the traveller's last search moved a count on an out-edge of a node that
+    search expanded or on a leg of the traveller's plan, and the crowd is the
+    same, the search would return the same plan at the same cost, and the
+    adoption test would fail again.
+
+    The joint plan is edited in place: an adopted plan moves its agent
+    between labels, each replaced by a new frozenset.  It returns the same
+    plan, which on_step gets after every step: an observer that keeps it
+    must copy its maps.
     """
     joint = merge_plans(initial)
     edges, per_agent = joint.edges, joint.per_agent
-    for agent, plan in per_agent.items():
-        for leg in plan.legs:
-            if leg not in graph.edges:
-                raise InputError(f"agent {agent!r} plan leg {leg} is not a relaxed-graph edge")
+    slots = {agent: _leg_slots(plan, graph) for agent, plan in per_agent.items()}
+    occupancy = Occupancy(graph)
+    for own in slots.values():
+        occupancy.board(own)
+    # adoptions so far, and the adoption count when a count last moved on
+    # each slot and on any out-edge of each node
+    adoptions = 0
+    slot_moved = [0] * len(graph.edges)
+    node_moved = [0] * len(graph.names)
+    # per agent, (adoptions, crowd, expanded nodes) as of its last search
+    searched: dict[AgentId, tuple[int, int, list[int]]] = {}
+    position = graph.positions
     agents = sorted(per_agent)
     for round_no in range(1, MAX_ROUNDS + 1):
         improved = False
         for agent in agents:
-            candidate = best_response_step(joint, agent, graph)
-            if candidate.total_cost < agent_cost(joint, agent, graph):
-                for leg in per_agent[agent].legs:
-                    users = edges.pop(leg) - {agent}
-                    if users:
-                        edges[leg] = users
-                for leg in candidate.legs:
-                    edges[leg] = edges.get(leg, frozenset()) | {agent}
-                per_agent[agent] = candidate
-                improved = True
+            own = slots[agent]
+            occupancy.alight(own)
+            crowd = occupancy.crowd
+            last = searched.get(agent)
+            unchanged = (
+                last is not None
+                and last[1] == crowd
+                and (
+                    last[0] == adoptions
+                    or max(map(node_moved.__getitem__, last[2]), default=0) <= last[0]
+                    and max(map(slot_moved.__getitem__, own)) <= last[0]
+                )
+            )
+            if not unchanged:
+                current = per_agent[agent]
+                request = AgentRequest(agent=agent, origin=current.legs[0][0], destination=current.legs[-1][1])
+                expanded: list[int] = []
+                candidate = plan_individual(graph, request, occupancy, expanded)
+                if candidate.total_cost < agent_cost(joint, agent, graph):
+                    adoptions += 1
+                    for leg in set(current.legs).symmetric_difference(candidate.legs):
+                        slot_moved[graph.slots[leg]] = node_moved[position[leg[0]]] = adoptions
+                    for leg in current.legs:
+                        users = edges.pop(leg) - {agent}
+                        if users:
+                            edges[leg] = users
+                    for leg in candidate.legs:
+                        edges[leg] = edges.get(leg, frozenset()) | {agent}
+                    per_agent[agent] = candidate
+                    slots[agent] = own = _leg_slots(candidate, graph)
+                    improved = True
+                # the traveller's own move leaves the counts it reads unchanged
+                searched[agent] = (adoptions, crowd, expanded)
+            occupancy.board(own)
             if on_step is not None:
                 on_step(joint)
         if not improved:

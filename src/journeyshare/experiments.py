@@ -450,6 +450,8 @@ def validate_results_file(path: str | Path) -> int:
     """Re-check row-level invariants of a results.csv; returns the row count."""
     count = 0
     for lineno, row in read_csv(path, RESULTS_COLUMNS):
+        if not row:
+            continue
         count += 1
         where = f"{path}:{lineno}"
         if len(row) != len(RESULTS_COLUMNS):

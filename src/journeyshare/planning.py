@@ -4,17 +4,18 @@ plan_individual returns a cost-optimal simple path, pricing each edge at its
 shared_cost among the travellers riding it.  Solo routes have no riders, so
 every edge costs its base cost: they are read off the graph's reverse
 shortest-path tree towards the destination without a search.  Best-response
-replanning passes the joint plan's edge labels and runs an A* search (Hart,
-Nilsson & Raphael, 1968) guided by the base-cost distance to the destination
-times the least share of its base cost any edge can cost, which the largest
-label fixes: an admissible, consistent heuristic.
+replanning passes an Occupancy, integer rider counts per edge slot, and runs
+an A* search (Hart, Nilsson & Raphael, 1968) guided by the base-cost distance
+to the destination times the least share of its base cost any edge can cost,
+which the largest count fixes: an admissible, consistent heuristic.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
-from typing import AbstractSet, Hashable, Mapping
+from typing import Hashable, Iterable
 
 from .errors import InputError
 from .transit import UNREACHABLE, RelaxedGraph
@@ -80,24 +81,71 @@ class Plan:
         }
 
 
+class Occupancy:
+    """How many travellers ride each relaxed-graph edge.
+
+    counts holds one count per graph.slots slot, and histogram the number of
+    edges at each count up to the largest, so that crowd, the largest group a
+    traveller on no edge can join, needs no scan.  A best-response search
+    takes its traveller off its own legs first: an edge with count k then
+    makes a group of k + 1 with the traveller.
+    """
+
+    def __init__(self, graph: RelaxedGraph) -> None:
+        self.counts = [0] * len(graph.edges)
+        self.histogram = [len(graph.edges)]
+
+    @property
+    def crowd(self) -> int:
+        """One more than the largest count."""
+        return len(self.histogram)
+
+    def board(self, slots: Iterable[int]) -> None:
+        """Count one more traveller on each slot."""
+        counts, histogram = self.counts, self.histogram
+        for slot in slots:
+            count = counts[slot]
+            histogram[count] -= 1
+            count += 1
+            counts[slot] = count
+            if count == len(histogram):
+                histogram.append(1)
+            else:
+                histogram[count] += 1
+
+    def alight(self, slots: Iterable[int]) -> None:
+        """Count one traveller fewer on each slot."""
+        counts, histogram = self.counts, self.histogram
+        for slot in slots:
+            count = counts[slot]
+            histogram[count] -= 1
+            counts[slot] = count - 1
+            histogram[count - 1] += 1
+            if not histogram[-1]:
+                histogram.pop()
+
+
 def plan_individual(
     graph: RelaxedGraph,
     request: AgentRequest,
-    riders: Mapping[Edge, AbstractSet[AgentId]] = {},
+    occupancy: Occupancy | None = None,
+    expanded: list[int] | None = None,
 ) -> Plan | None:
     """Minimum-cost simple path from origin to destination, or None.
 
-    riders labels edges with their travellers, as JointPlan.edges does; an
-    edge costs shared_cost of its base cost (its minimal duration in minutes)
-    among its riders and the traveller, so the base cost without riders.
-    Ties are broken towards fewer legs, then the lexicographically smallest
-    stop sequence, so results are reproducible.  Returns None, without
-    searching, when the destination is unreachable.  Without riders the
-    route is read off graph.tree_to(destination), which breaks ties the same
-    way, and nothing is searched.  With riders, the largest group a label
-    allows, its riders and the traveller, fixes the floor: the least share of
-    its base cost any edge can cost.  The A* search is guided by just under
-    the floor times the base-cost distance to the destination.
+    occupancy counts the other travellers on each edge; an edge with count k
+    costs shared_cost of its base cost (its minimal duration in minutes) in a
+    group of k + 1, so its base cost without occupancy.  Ties are broken
+    towards fewer legs, then the lexicographically smallest stop sequence, so
+    results are reproducible.  Returns None, without searching, when the
+    destination is unreachable.  Without occupancy the route is read off
+    graph.tree_to(destination), which breaks ties the same way, and nothing
+    is searched.  With it, the crowd fixes the floor: the least share of its
+    base cost any edge can cost.  The A* search is guided by just under the
+    floor times the base-cost distance to the destination, and appends to
+    expanded, if given, the position of every node whose out-edges it
+    priced: with the same crowd and the same counts on those out-edges, a
+    search for the same request repeats itself exactly.
     """
     if request.origin not in graph.nodes:
         raise InputError(f"unknown origin stop {request.origin!r}")
@@ -108,7 +156,7 @@ def plan_individual(
     distance, next_hop = graph.tree_to(request.destination)
     if distance[origin] == UNREACHABLE:
         return None
-    if not riders:
+    if occupancy is None:
         # each edge costs shared_cost(base, 1), which is float(base), summed
         # from the origin as the search sums it
         edges, stops, cost, node = graph.edges, [request.origin], 0.0, origin
@@ -117,34 +165,44 @@ def plan_individual(
             stops.append(names[node])
             cost += float(edges[stops[-2], stops[-1]])
         return Plan(agent=agent, legs=tuple(zip(stops, stops[1:])), total_cost=cost)
-    crowd = max(len(users) + (agent not in users) for users in riders.values())
-    guide = (1.0 - GUIDE_SLACK) * (DISCOUNT_SHARE / crowd + FLOOR_SHARE)
+    # share[k] is shared_cost's factor for a group of k + 1, so share[k] * base
+    # is the float shared_cost(base, k + 1) returns
+    share = [DISCOUNT_SHARE / n + FLOOR_SHARE for n in range(1, occupancy.crowd + 1)]
+    guide = (1.0 - GUIDE_SLACK) * share[-1]
+    counts, first_slots = occupancy.counts, graph.first_slots
 
-    # Labels are (cost + guide * remaining, cost, hops, path), with paths of
-    # node positions, which order as the stop names do.  The estimate is
-    # constant per node, so labels at one node still pop in (cost, hops,
-    # path) order, and the heuristic is consistent, so the first label
-    # settled at a node is its tie-broken optimum; edge costs are strictly
-    # positive, so optimal paths are simple.
-    heap = [(guide * distance[origin], 0.0, 0, (origin,))]
-    settled = bytearray(len(names))
+    # Labels are (cost + guide * remaining, cost, hops, parent's path, node),
+    # with paths of node positions, which order as the stop names do; labels
+    # that tie up to hops have parent paths of equal length, so they order as
+    # their full paths.  The estimate is constant per node, so labels at one
+    # node still pop in (cost, hops, path) order, and the heuristic is
+    # consistent, so the first label settled at a node is its tie-broken
+    # optimum; edge costs are strictly positive, so optimal paths are simple.
+    # best holds the least cost pushed to each node, and -1.0 once it is
+    # settled: a label dearer than that could never settle its node, so it is
+    # not pushed.
+    best = [math.inf] * len(names)
+    heappush, heappop = heapq.heappush, heapq.heappop
+    heap = [(guide * distance[origin], 0.0, 0, (), origin)]
     while heap:
-        _, cost, hops, path = heapq.heappop(heap)
-        node = path[-1]
-        if settled[node]:
+        _, cost, hops, parent, node = heappop(heap)
+        if cost > best[node]:
             continue
-        settled[node] = 1
+        path = parent + (node,)
         if node == destination:
             stops = [names[i] for i in path]
             return Plan(agent=agent, legs=tuple(zip(stops, stops[1:])), total_cost=cost)
-        name = names[node]
-        for succ, base in out_edges[node]:
-            if settled[succ]:
+        best[node] = -1.0
+        if expanded is not None:
+            expanded.append(node)
+        hops += 1
+        for slot, (succ, base) in enumerate(out_edges[node], first_slots[node]):
+            g = cost + share[counts[slot]] * base
+            if g > best[succ]:
                 continue
             remaining = distance[succ]
             if remaining == UNREACHABLE:
                 continue
-            users = riders.get((name, names[succ]), ())
-            g = cost + shared_cost(base, len(users) + (agent not in users))
-            heapq.heappush(heap, (g + guide * remaining, g, hops + 1, path + (succ,)))
+            best[succ] = g
+            heappush(heap, (g + guide * remaining, g, hops, path, succ))
     return None

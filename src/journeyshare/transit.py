@@ -16,7 +16,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, groupby
+from itertools import accumulate, chain, groupby
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -151,9 +151,9 @@ class TransitNetwork:
 class RelaxedGraph:
     """Directed stop graph with minimal inter-stop durations.
 
-    The search indexes (names, positions, out_edges) and the per-destination
-    trees are built on first use and are not fields, so they take no part in
-    == or repr.
+    The search indexes (names, positions, out_edges, slots, first_slots) and
+    the per-destination trees are built on first use and are not fields, so
+    they take no part in == or repr.
     """
 
     nodes: frozenset[str]
@@ -179,6 +179,17 @@ class RelaxedGraph:
         for (node, succ), base in sorted(self.edges.items()):
             out[position[node]].append((position[succ], base))
         return tuple(map(tuple, out))
+
+    @cached_property
+    def slots(self) -> dict[tuple[str, str], int]:
+        """Each edge's slot: its index in out_edges read node by node, which
+        is its index among the sorted edges."""
+        return {edge: slot for slot, edge in enumerate(sorted(self.edges))}
+
+    @cached_property
+    def first_slots(self) -> tuple[int, ...]:
+        """Per node position, the slot of its first out-edge."""
+        return tuple(accumulate((len(out) for out in self.out_edges[:-1]), initial=0))
 
     @cached_property
     def _in_edges(self) -> list[list[tuple[int, int]]]:

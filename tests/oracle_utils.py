@@ -154,6 +154,40 @@ def occupancy_cost(joint: JointPlan, agent: AgentId, graph: RelaxedGraph) -> Cal
     return cost
 
 
+def naive_br_trace(initial: Iterable[Plan], graph: RelaxedGraph, max_rounds: int) -> list[dict[AgentId, Plan]]:
+    """Round-robin best response as the paper states it, step by step.
+
+    Every step relabels the edges from scratch, replans its traveller with
+    uniform_cost_plan under occupancy_cost, sums the current plan's cost in
+    leg order and adopts on a strict <: no counts and no skipped searches.
+    Returns every traveller's plan after each step, sweeping until a sweep
+    adopts nothing or max_rounds sweeps have run.
+    """
+    plans = {plan.agent: plan for plan in initial}
+    trace = []
+    for _ in range(max_rounds):
+        improved = False
+        for agent in sorted(plans):
+            labels: dict[Edge, set] = {}
+            for plan in plans.values():
+                for leg in plan.legs:
+                    labels.setdefault(leg, set()).add(plan.agent)
+            cost = occupancy_cost(JointPlan(edges=labels, per_agent=plans), agent, graph)
+            current = plans[agent]
+            request = AgentRequest(agent, current.legs[0][0], current.legs[-1][1])
+            candidate = uniform_cost_plan(graph, request, cost)
+            current_cost = 0.0
+            for leg in current.legs:
+                current_cost += cost(leg)
+            if candidate.total_cost < current_cost:
+                plans[agent] = candidate
+                improved = True
+            trace.append(dict(plans))
+        if not improved:
+            break
+    return trace
+
+
 def rosenthal_potential(joint: JointPlan, graph: RelaxedGraph) -> float:
     """Potential that decreases whenever a traveller strictly improves.
 

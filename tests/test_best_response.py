@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from journeyshare import best_response
 from journeyshare.best_response import JointPlan, agent_cost, best_response_step, merge_plans, run_br_phase
 from journeyshare.errors import InputError
 from journeyshare.planning import FLOOR_SHARE, AgentRequest, Plan, plan_individual, shared_cost
 
 from conftest import graph_of
-from oracle_utils import brute_force_best_path, occupancy_cost, random_digraph, rosenthal_potential
+from oracle_utils import brute_force_best_path, naive_br_trace, occupancy_cost, random_digraph, rosenthal_potential
 
 
 
@@ -289,13 +290,17 @@ class TestRunBrPhase:
             retry = best_response_step(joint, plan.agent, graph)
             assert agent_cost(joint, plan.agent, graph) - retry.total_cost < 1e-9
 
-    def test_unreachable_agent_keeps_plan(self, caplog):
+    def test_a_step_on_a_plan_off_the_graph_is_an_input_error(self):
         # agent 1's plan uses an edge, but its origin loses all outgoing edges
         graph = graph_of({("B", "C"): 5}, extra_nodes={"A"})
         stale = Plan(agent=1, legs=(("A", "B"), ("B", "C")), total_cost=15.0)
         joint = merge_plans([stale])
-        step = best_response_step(joint, 1, graph)
-        assert step == stale
+        with pytest.raises(InputError, match=r"agent 1 plan leg \('A', 'B'\) is not a relaxed-graph edge"):
+            best_response_step(joint, 1, graph)
+        # another traveller's stale leg is rejected too
+        joint = merge_plans([stale, path_plan(2, ("B", "C"), graph)])
+        with pytest.raises(InputError, match=r"agent 1 plan leg \('A', 'B'\) is not a relaxed-graph edge"):
+            best_response_step(joint, 2, graph)
 
     def test_a_plan_off_the_graph_is_an_input_error(self):
         # the stale plan above rides A-B, which the graph no longer has
@@ -305,6 +310,157 @@ class TestRunBrPhase:
         with pytest.raises(InputError, match=r"agent 1 plan leg \('A', 'B'\) is not a relaxed-graph edge"):
             run_br_phase([stale], graph, on_step=steps.append)
         assert steps == []
+
+
+@st.composite
+def overlapping_phases(draw):
+    """A random digraph with small integer costs, so that equal-cost routes
+    are common, around a trunk through every node, and two to six travellers
+    each going from a trunk stop to a later one, so that their routes
+    overlap.  A traveller starts on its solo route or on its trunk segment,
+    which need not be cheapest."""
+    nodes = [f"n{i}" for i in range(draw(st.integers(3, 9)))]
+    trunk = draw(st.permutations(nodes))
+    costs = st.one_of(st.integers(1, 4), st.integers(1, 30))
+    pairs = [(a, b) for a in nodes for b in nodes if a != b]
+    edges = draw(st.dictionaries(st.sampled_from(pairs), costs))
+    for leg in zip(trunk, trunk[1:]):
+        edges.setdefault(leg, draw(costs))
+    graph = graph_of(edges, extra_nodes=set(nodes))
+    plans = []
+    for agent in range(1, draw(st.integers(2, 6)) + 1):
+        start = draw(st.integers(0, len(trunk) - 2))
+        end = draw(st.integers(start + 1, len(trunk) - 1))
+        if draw(st.booleans()):
+            plans.append(plan_individual(graph, AgentRequest(agent, trunk[start], trunk[end])))
+        else:
+            plans.append(path_plan(agent, trunk[start : end + 1], graph))
+    return graph, plans
+
+
+def legs_and_costs(per_agent):
+    """Each traveller's legs and the exact bits of its plan's cost."""
+    return {agent: (plan.legs, plan.total_cost.hex()) for agent, plan in per_agent.items()}
+
+
+def recorded_searches(monkeypatch, expanded=True):
+    """The travellers of the plan_individual calls run_br_phase makes, in
+    order; with expanded false, the searches report no expanded nodes."""
+    searched = []
+    search = best_response.plan_individual
+
+    def recording(graph, request, occupancy, nodes):
+        searched.append(request.agent)
+        return search(graph, request, occupancy, nodes if expanded else [])
+
+    monkeypatch.setattr(best_response, "plan_individual", recording)
+    return searched
+
+
+class TestSkippedSearches:
+    @settings(max_examples=300, deadline=None)
+    @given(overlapping_phases())
+    def test_every_step_matches_the_naive_phase(self, phase):
+        graph, plans = phase
+        steps = []
+        run_br_phase(plans, graph, on_step=lambda live: steps.append(legs_and_costs(live.per_agent)))
+        expected = naive_br_trace(plans, graph, best_response.MAX_ROUNDS)
+        assert len(steps) == len(expected)
+        for step, oracle in zip(steps, expected):
+            assert step == legs_and_costs(oracle)
+
+    def test_random_phases_match_the_naive_phase(self, monkeypatch):
+        # Denser and more numerous than the Hypothesis examples: travellers
+        # from two trunk stops, half of them on their trunk segment, so that
+        # adoptions follow one another.  A search skipped after an adoption
+        # out of a node it expanded shows here in about one phase in 300.
+        searched = recorded_searches(monkeypatch)
+        rng = random.Random(71)
+        steps_total = 0
+        for _ in range(3000):
+            nodes = [f"n{i}" for i in range(rng.randint(3, 9))]
+            trunk = rng.sample(nodes, len(nodes))
+            density = rng.uniform(0.3, 0.5)
+            edges = {(a, b): rng.randint(1, 4) for a in nodes for b in nodes if a != b and rng.random() < density}
+            for leg in zip(trunk, trunk[1:]):
+                edges.setdefault(leg, rng.randint(1, 4))
+            graph = graph_of(edges, extra_nodes=set(nodes))
+            origins = [rng.randrange(len(trunk) - 1) for _ in range(2)]
+            plans = []
+            for agent in range(1, rng.randint(2, 6) + 1):
+                start = rng.choice(origins)
+                end = rng.randint(start + 1, len(trunk) - 1)
+                if rng.random() < 0.5:
+                    plans.append(path_plan(agent, trunk[start : end + 1], graph))
+                else:
+                    plans.append(plan_individual(graph, AgentRequest(agent, trunk[start], trunk[end])))
+            steps = []
+            run_br_phase(plans, graph, on_step=lambda live: steps.append(legs_and_costs(live.per_agent)))
+            assert steps == [legs_and_costs(oracle) for oracle in naive_br_trace(plans, graph, best_response.MAX_ROUNDS)]
+            steps_total += len(steps)
+        # every phase searches each traveller once, so skipping shows as fewer
+        assert len(searched) < 0.9 * steps_total
+
+    def test_the_certifying_sweep_searches_less_than_it_steps(self, monkeypatch):
+        # agent 2 adopts the corridor in the first sweep, which moves counts
+        # out of D, a node agent 1's search expanded; agent 2 itself read
+        # nothing that moved since
+        graph = graph_of(
+            {("C", "D"): 45, ("D", "E"): 70, ("E", "F"): 30, ("D", "X"): 60, ("X", "E"): 60}
+        )
+        searched = recorded_searches(monkeypatch)
+        steps = []
+        run_br_phase(
+            [path_plan(1, ("C", "D", "E", "F"), graph), path_plan(2, ("D", "X", "E"), graph)],
+            graph,
+            on_step=lambda live: steps.append(None),
+        )
+        assert len(steps) == 4
+        assert searched == [1, 2, 1]
+
+    def test_an_adoption_out_of_an_expanded_node_is_searched_again(self, monkeypatch):
+        # agent 1's A-K-Z and A-M-Z tie solo, and its search expands M; agent
+        # 2 then leaves its detour B-D-Z for B-M-Z, so that A-M-Z becomes
+        # cheaper for agent 1, though no count on agent 1's legs moved and
+        # the crowd stayed at two
+        graph = graph_of(
+            {("A", "K"): 50, ("K", "Z"): 50, ("A", "M"): 50, ("M", "Z"): 50,
+             ("B", "D"): 40, ("D", "Z"): 40, ("B", "M"): 10}
+        )
+        searched = recorded_searches(monkeypatch)
+        joint = run_br_phase([path_plan(1, ("A", "K", "Z"), graph), path_plan(2, ("B", "D", "Z"), graph)], graph)
+        assert joint.per_agent[1].stops() == ("A", "M", "Z")
+        assert joint.per_agent[2].stops() == ("B", "M", "Z")
+        assert searched == [1, 2, 1, 2]
+
+    def test_an_adoption_off_a_leg_of_the_current_plan_is_searched_again(self, monkeypatch):
+        # The real search expands every node of a plan no dearer than the
+        # one it returns, so each leg of a traveller's plan leaves a node its
+        # last search expanded.  These searches report no expanded nodes, so
+        # only the plan's legs can show that agent 2 left K-Z for K-Q-T:
+        # alone on A-K-Z agent 1 pays 100, and A-M-Z costs 90.
+        graph = graph_of(
+            {("A", "K"): 50, ("K", "Z"): 50, ("A", "M"): 45, ("M", "Z"): 45,
+             ("Z", "T"): 20, ("K", "Q"): 20, ("Q", "T"): 20}
+        )
+        searched = recorded_searches(monkeypatch, expanded=False)
+        joint = run_br_phase([path_plan(1, ("A", "K", "Z"), graph), path_plan(2, ("K", "Z", "T"), graph)], graph)
+        assert joint.per_agent[1].stops() == ("A", "M", "Z")
+        assert joint.per_agent[2].stops() == ("K", "Q", "T")
+        assert searched == [1, 2, 1]
+
+    def test_a_crowd_rise_away_from_the_search_is_searched_again(self, monkeypatch):
+        # agent 1's only route is A-Z, so its search expands A alone; agent
+        # 2 leaves P-S-R to join agent 3 on P-R, which raises the crowd
+        # agent 1's search is guided by from two to three
+        graph = graph_of({("A", "Z"): 10, ("P", "R"): 30, ("P", "S"): 20, ("S", "R"): 20})
+        searched = recorded_searches(monkeypatch)
+        joint = run_br_phase(
+            [path_plan(1, ("A", "Z"), graph), path_plan(2, ("P", "S", "R"), graph), path_plan(3, ("P", "R"), graph)],
+            graph,
+        )
+        assert joint.edges[("P", "R")] == frozenset({2, 3})
+        assert searched == [1, 2, 3, 1]
 
 
 class TestRosenthalPotential:

@@ -619,6 +619,12 @@ class TestValidateResults:
         with pytest.raises(ParseError, match=r"bad\.csv:4: non-numeric delta_c 'high'"):
             validate_results_file(bad)
 
+    def test_blank_rows_are_skipped_and_not_counted(self, tmp_path):
+        good = tmp_path / "good.csv"
+        rows = [",".join(RESULTS_COLUMNS), "s,2,NS,1,0.5,,,,,,0.1,0.1,0.1,0.3", "", "s,2,NS,2,0.5,,,,,,0.1,0.1,0.1,0.3", ""]
+        good.write_text("\n".join(rows) + "\n")
+        assert validate_results_file(good) == 2
+
     @pytest.mark.parametrize(
         "row, message",
         [

@@ -9,7 +9,7 @@ from journeyshare import planning
 from journeyshare.best_response import JointPlan
 from journeyshare.errors import InputError
 from journeyshare.experiments import DEFAULT_SYNTH_SPEC, prepare_network
-from journeyshare.planning import DISCOUNT_SHARE, FLOOR_SHARE, AgentRequest, plan_individual
+from journeyshare.planning import DISCOUNT_SHARE, FLOOR_SHARE, AgentRequest, Occupancy, plan_individual
 from journeyshare.synth import build_synthetic_network
 from journeyshare.transit import UNREACHABLE
 
@@ -134,16 +134,18 @@ def rider_oracle(graph, request, riders):
     return uniform_cost_plan(graph, request, occupancy_cost(JointPlan(edges=riders, per_agent={}), request.agent, graph))
 
 
-class RecordingRiders(dict):
-    """Rider labels that record every edge the search looks up."""
+def occupancy_of(graph, riders, agent):
+    """The counts a search for agent reads off rider labels: each label's
+    travellers other than the agent."""
+    occupancy = Occupancy(graph)
+    for edge, users in riders.items():
+        occupancy.board([graph.slots[edge]] * len(set(users) - {agent}))
+    return occupancy
 
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.looked_up = []
 
-    def get(self, edge, default=None):
-        self.looked_up.append(edge)
-        return super().get(edge, default)
+def counted_plan(graph, request, riders):
+    """plan_individual under the counts of the rider labels."""
+    return plan_individual(graph, request, occupancy_of(graph, riders, request.agent))
 
 
 class TestGoalDirected:
@@ -151,7 +153,7 @@ class TestGoalDirected:
     @given(occupancy_searches())
     def test_same_plan_as_uniform_cost_search(self, search):
         graph, request, riders, _ = search
-        plan = plan_individual(graph, request, riders)
+        plan = counted_plan(graph, request, riders)
         # Plan equality compares the legs and the total_cost floats with ==
         assert plan == rider_oracle(graph, request, riders)
 
@@ -163,19 +165,26 @@ class TestGoalDirected:
         n_agents = 5
         riders = {edge: frozenset(range(1, n_agents + 1)) for edge in graph.edges}
         request = AgentRequest(1, "A", "E")
-        plan = plan_individual(graph, request, riders)
+        plan = counted_plan(graph, request, riders)
         assert plan == rider_oracle(graph, request, riders)
         assert plan.stops() == ("A", "B", "D", "E")
         # guided by the full floor, rounding of cost + estimate lets the
         # lexicographically larger route pop first
         monkeypatch.setattr(planning, "GUIDE_SLACK", 0.0)
-        assert plan_individual(graph, request, riders).stops() == ("A", "C", "D", "E")
+        assert counted_plan(graph, request, riders).stops() == ("A", "C", "D", "E")
 
-    def test_unreachable_origin_returns_none_without_searching(self):
+    def test_unreachable_origin_returns_none_without_searching(self, monkeypatch):
         graph = graph_of({("A", "B"): 5, ("B", "C"): 5, ("Z", "Y"): 1})
-        riders = RecordingRiders({("Z", "Y"): {2}})
-        assert plan_individual(graph, AgentRequest(1, "Z", "C"), riders) is None
-        assert riders.looked_up == []
+        occupancy = occupancy_of(graph, {("Z", "Y"): {2}}, 1)
+        graph.tree_to("C")
+
+        def no_search(*args):
+            raise AssertionError("an unreachable destination was searched for")
+
+        monkeypatch.setattr(planning.heapq, "heappop", no_search)
+        expanded = []
+        assert plan_individual(graph, AgentRequest(1, "Z", "C"), occupancy, expanded) is None
+        assert expanded == []
 
     def test_crowd_counts_the_traveller_on_an_edge_it_is_not_on(self):
         # three others on B-D make a group of four with the traveller, so
@@ -184,7 +193,7 @@ class TestGoalDirected:
         graph = graph_of({("A", "B"): 1, ("B", "D"): 20, ("A", "D"): 9})
         request = AgentRequest(1, "A", "D")
         riders = {("B", "D"): frozenset({2, 3, 4}), ("A", "B"): frozenset({1, 2, 3})}
-        plan = plan_individual(graph, request, riders)
+        plan = counted_plan(graph, request, riders)
         assert plan.stops() == ("A", "B", "D")
         assert plan.total_cost == (DISCOUNT_SHARE / 3 + FLOOR_SHARE) * 1 + (DISCOUNT_SHARE / 4 + FLOOR_SHARE) * 20
         assert plan == rider_oracle(graph, request, riders)
@@ -197,15 +206,15 @@ class TestGoalDirected:
             for destination in ("Z", "K"):
                 request = AgentRequest(1, "A", destination)
                 riders = {edge: frozenset()}
-                plan = plan_individual(graph, request, riders)
+                plan = counted_plan(graph, request, riders)
                 assert plan == plan_individual(graph, request)
                 assert plan == rider_oracle(graph, request, riders)
 
-    def test_riders_off_the_graph_only_loosen_the_guide(self):
-        graph = graph_of({("A", "B"): 4, ("B", "C"): 4, ("A", "C"): 10, ("C", "D"): 2})
+    def test_riders_away_from_the_route_only_loosen_the_guide(self):
+        graph = graph_of({("A", "B"): 4, ("B", "C"): 4, ("A", "C"): 10, ("C", "D"): 2, ("Q", "R"): 1, ("D", "A"): 3})
         request = AgentRequest(1, "A", "D")
         riders = {("A", "C"): frozenset({2, 3}), ("Q", "R"): frozenset(range(2, 40)), ("D", "A"): frozenset({1})}
-        plan = plan_individual(graph, request, riders)
+        plan = counted_plan(graph, request, riders)
         assert plan.stops() == ("A", "C", "D")
         assert plan == rider_oracle(graph, request, riders)
 
@@ -216,10 +225,35 @@ class TestGoalDirected:
         # nine riders on A-C, the traveller among them and counted once,
         # make it cheaper than the two legs via B
         riders = {("A", "C"): frozenset(range(1, 10))}
-        plan = plan_individual(graph, request, riders)
+        plan = counted_plan(graph, request, riders)
         assert plan.stops() == ("A", "C", "D")
         assert plan.total_cost == (DISCOUNT_SHARE / 9 + FLOOR_SHARE) * 10 + 2.0
         assert plan == rider_oracle(graph, request, riders)
+
+
+class TestOccupancy:
+    def test_crowd_and_histogram_follow_the_counts(self):
+        rng = random.Random(19)
+        graph = graph_of({(a, b): 1 for a in "ABCD" for b in "ABCD" if a != b})
+        occupancy = Occupancy(graph)
+        riding = []
+        for _ in range(2000):
+            if riding and rng.random() < 0.45:
+                occupancy.alight(riding.pop(rng.randrange(len(riding))))
+            else:
+                slots = rng.sample(range(len(graph.edges)), rng.randint(1, 4))
+                occupancy.board(slots)
+                riding.append(slots)
+            counts = occupancy.counts
+            assert counts == [sum(slot in slots for slots in riding) for slot in range(len(graph.edges))]
+            assert occupancy.crowd == max(counts) + 1
+            assert occupancy.histogram == [counts.count(k) for k in range(max(counts) + 1)]
+
+    def test_slots_follow_the_out_edges_node_by_node(self):
+        graph = graph_of({("B", "A"): 2, ("A", "C"): 3, ("A", "B"): 1, ("C", "A"): 4}, extra_nodes={"D"})
+        flattened = [(graph.names[node], graph.names[succ]) for node, out in enumerate(graph.out_edges) for succ, _ in out]
+        assert [graph.slots[edge] for edge in flattened] == list(range(4))
+        assert graph.first_slots == (0, 2, 3, 4)
 
 
 class TestDistanceCache:
