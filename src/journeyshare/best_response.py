@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Mapping
 
 from .errors import InputError
@@ -28,11 +29,18 @@ MAX_ROUNDS = 100
 
 @dataclass(frozen=True)
 class JointPlan:
-    """Union of all travellers' plans; each edge is labelled with the
-    frozenset of its users."""
+    """Union of all travellers' plans.  edges, derived from the plans on
+    first use, labels each edge with the frozenset of its users."""
 
-    edges: Mapping[Edge, frozenset]
     per_agent: Mapping[AgentId, Plan]
+
+    @cached_property
+    def edges(self) -> dict[Edge, frozenset]:
+        users: dict[Edge, set] = {}
+        for plan in self.per_agent.values():
+            for leg in plan.legs:
+                users.setdefault(leg, set()).add(plan.agent)
+        return {leg: frozenset(agents) for leg, agents in users.items()}
 
     def to_dict(self) -> dict:
         return {
@@ -45,9 +53,9 @@ class JointPlan:
 
 
 def merge_plans(plans: Iterable[Plan]) -> JointPlan:
-    """Graph union of the plans, labelling every edge with the agents using it."""
+    """Graph union of the plans; InputError for a duplicate agent, an empty
+    plan, legs that are not chained or a revisited stop."""
     per_agent: dict[AgentId, Plan] = {}
-    edges: dict[Edge, set] = {}
     for plan in plans:
         if plan.agent in per_agent:
             raise InputError(f"duplicate plan for agent {plan.agent!r}")
@@ -59,12 +67,7 @@ def merge_plans(plans: Iterable[Plan]) -> JointPlan:
         if len(set(plan.stops())) != len(plan.stops()):
             raise InputError(f"agent {plan.agent!r} plan revisits a stop")
         per_agent[plan.agent] = plan
-        for leg in plan.legs:
-            edges.setdefault(leg, set()).add(plan.agent)
-    return JointPlan(
-        edges={leg: frozenset(users) for leg, users in edges.items()},
-        per_agent=per_agent,
-    )
+    return JointPlan(per_agent=per_agent)
 
 
 def agent_cost(joint: JointPlan, agent: AgentId, graph: RelaxedGraph) -> float:
@@ -120,28 +123,26 @@ def run_br_phase(
     The phase merges the initial plans once, rejecting a leg that is not a
     graph edge (InputError), and counts the travellers per edge slot.  Each
     step takes its traveller off its legs, so that the counts are what a
-    plan_individual search reads, and puts it back on the legs it keeps.  A
-    step repeats no search whose inputs are unchanged: if no adoption since
-    the traveller's last search moved a count on an out-edge of a node that
-    search expanded or on a leg of the traveller's plan, and the crowd is the
-    same, the search would return the same plan at the same cost, and the
-    adoption test would fail again.
+    plan_individual search reads and price the current plan as agent_cost
+    does, and puts it back on the legs it keeps.  A step repeats no search
+    whose inputs are unchanged: if no adoption since the traveller's last
+    search moved a count on an out-edge of a node that search expanded, and
+    the crowd is the same, the search would return the same plan at the same
+    cost, and the adoption test would fail again.  The current plan's legs
+    leave nodes that search expanded, since A* expands every node of a plan
+    no dearer than its result, so their counts are covered too.
 
-    The joint plan is edited in place: an adopted plan moves its agent
-    between labels, each replaced by a new frozenset.  It returns the same
-    plan, which on_step gets after every step: an observer that keeps it
-    must copy its maps.
+    on_step gets a snapshot of the joint plan after every step.
     """
-    joint = merge_plans(initial)
-    edges, per_agent = joint.edges, joint.per_agent
+    per_agent = dict(merge_plans(initial).per_agent)
     slots = {agent: _leg_slots(plan, graph) for agent, plan in per_agent.items()}
     occupancy = Occupancy(graph)
     for own in slots.values():
         occupancy.board(own)
+    counts = occupancy.counts
     # adoptions so far, and the adoption count when a count last moved on
-    # each slot and on any out-edge of each node
+    # an out-edge of each node
     adoptions = 0
-    slot_moved = [0] * len(graph.edges)
     node_moved = [0] * len(graph.names)
     # per agent, (adoptions, crowd, expanded nodes) as of its last search
     searched: dict[AgentId, tuple[int, int, list[int]]] = {}
@@ -157,27 +158,20 @@ def run_br_phase(
             unchanged = (
                 last is not None
                 and last[1] == crowd
-                and (
-                    last[0] == adoptions
-                    or max(map(node_moved.__getitem__, last[2]), default=0) <= last[0]
-                    and max(map(slot_moved.__getitem__, own)) <= last[0]
-                )
+                and (last[0] == adoptions or max(map(node_moved.__getitem__, last[2]), default=0) <= last[0])
             )
             if not unchanged:
                 current = per_agent[agent]
                 request = AgentRequest(agent=agent, origin=current.legs[0][0], destination=current.legs[-1][1])
                 expanded: list[int] = []
                 candidate = plan_individual(graph, request, occupancy, expanded)
-                if candidate.total_cost < agent_cost(joint, agent, graph):
+                current_cost = 0.0
+                for leg, slot in zip(current.legs, own):
+                    current_cost += shared_cost(float(graph.edges[leg]), counts[slot] + 1)
+                if candidate.total_cost < current_cost:
                     adoptions += 1
                     for leg in set(current.legs).symmetric_difference(candidate.legs):
-                        slot_moved[graph.slots[leg]] = node_moved[position[leg[0]]] = adoptions
-                    for leg in current.legs:
-                        users = edges.pop(leg) - {agent}
-                        if users:
-                            edges[leg] = users
-                    for leg in candidate.legs:
-                        edges[leg] = edges.get(leg, frozenset()) | {agent}
+                        node_moved[position[leg[0]]] = adoptions
                     per_agent[agent] = candidate
                     slots[agent] = own = _leg_slots(candidate, graph)
                     improved = True
@@ -185,9 +179,9 @@ def run_br_phase(
                 searched[agent] = (adoptions, crowd, expanded)
             occupancy.board(own)
             if on_step is not None:
-                on_step(joint)
+                on_step(JointPlan(per_agent=dict(per_agent)))
         if not improved:
             logger.debug("best-response phase converged after %d sweep(s)", round_no)
-            return joint
+            return JointPlan(per_agent=per_agent)
     logger.warning("best-response phase hit MAX_ROUNDS=%d without converging", MAX_ROUNDS)
-    return joint
+    return JointPlan(per_agent=per_agent)

@@ -228,23 +228,6 @@ def _coalesce(legs: list[LegAssignment]) -> list[LegAssignment]:
     return merged
 
 
-def earliest_arrival_in_part(
-    part: Part, ready_time: int, tt: TransitNetwork, time_limit_s: float | None = None
-) -> PartSchedule | None:
-    """Earliest-completion schedule for one part, or None if infeasible."""
-    if not 0 <= ready_time < DAY_MINUTES:
-        raise InputError(f"ready_time {ready_time} outside [0, {DAY_MINUTES})")
-    solver = _PartSolver(part, tt)
-    try:
-        found = solver.earliest_arrival(ready_time, _Deadline(time_limit_s))
-    except SchedulingTimeout:
-        return None
-    if found is None:
-        return None
-    legs, _ = found
-    return PartSchedule(part_id=part.id, legs=tuple(legs))
-
-
 def schedule_group(
     parts: list[Part], tt: TransitNetwork, time_limit_s: float | None = None
 ) -> ScheduleResult:

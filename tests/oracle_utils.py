@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from types import SimpleNamespace
 from typing import Callable, Iterable
 
 from journeyshare.best_response import JointPlan, shared_cost
@@ -172,7 +173,7 @@ def naive_br_trace(initial: Iterable[Plan], graph: RelaxedGraph, max_rounds: int
             for plan in plans.values():
                 for leg in plan.legs:
                     labels.setdefault(leg, set()).add(plan.agent)
-            cost = occupancy_cost(JointPlan(edges=labels, per_agent=plans), agent, graph)
+            cost = occupancy_cost(SimpleNamespace(edges=labels), agent, graph)
             current = plans[agent]
             request = AgentRequest(agent, current.legs[0][0], current.legs[-1][1])
             candidate = uniform_cost_plan(graph, request, cost)

@@ -94,6 +94,20 @@ class TestMergePlans:
                 for leg in plan.legs:
                     assert plan.agent in joint.edges[leg]
 
+    @pytest.mark.parametrize(
+        "plans, message",
+        [
+            ([(1, (("C", "D"),)), (2, (("D", "E"),)), (1, (("E", "F"),))], "duplicate plan for agent 1"),
+            ([(1, ())], "agent 1 has an empty plan"),
+            ([(1, (("C", "D"), ("E", "F")))], "agent 1 plan legs are not chained at ('C', 'D') -> ('E', 'F')"),
+            ([(1, (("C", "D"), ("D", "E"), ("E", "C")))], "agent 1 plan revisits a stop"),
+        ],
+    )
+    def test_malformed_plan_sets_are_input_errors(self, plans, message):
+        with pytest.raises(InputError) as caught:
+            merge_plans(Plan(agent=agent, legs=legs, total_cost=0.0) for agent, legs in plans)
+        assert str(caught.value) == message
+
 
 class TestAgentCost:
     def test_sole_agent_equals_plan_cost(self):
@@ -180,7 +194,7 @@ class TestRunBrPhase:
         assert joint.per_agent[1].stops() == ("C", "D", "E", "F")
         assert joint.per_agent[2].stops() == ("D", "E")
 
-    def test_on_step_sees_the_live_plan_that_is_returned(self):
+    def test_on_step_gets_a_snapshot_after_every_step(self):
         graph = graph_of(
             {("C", "D"): 45, ("D", "E"): 70, ("E", "F"): 30, ("D", "X"): 60, ("X", "E"): 60}
         )
@@ -188,17 +202,22 @@ class TestRunBrPhase:
         p2 = path_plan(2, ("D", "X", "E"), graph)
         seen = []
 
-        def observe(live):
-            assert live.edges == merge_plans(live.per_agent.values()).edges
-            assert all(type(users) is frozenset for users in live.edges.values())
-            seen.append(live)
+        def observe(snapshot):
+            assert snapshot.edges == merge_plans(snapshot.per_agent.values()).edges
+            assert all(type(users) is frozenset for users in snapshot.edges.values())
+            seen.append((snapshot, dict(snapshot.per_agent), dict(snapshot.edges)))
 
         joint = run_br_phase([p1, p2], graph, on_step=observe)
         # two sweeps of two agents; agent 2 adopts the corridor in the first
-        assert len(seen) == 4
-        assert all(live is seen[0] for live in seen)
-        assert seen[0] is joint
-        assert joint.per_agent[2].stops() == ("D", "E")
+        assert [snapshot.per_agent[2].stops() for snapshot, _, _ in seen] == [("D", "X", "E")] + [("D", "E")] * 3
+        # later steps leave every snapshot as it was observed
+        for snapshot, plans, labels in seen:
+            assert snapshot.per_agent == plans
+            assert merge_plans(snapshot.per_agent.values()).edges == labels
+        # snapshots share the plans themselves, not copies of them
+        assert seen[-1][0] == joint and seen[-1][0] is not joint
+        assert seen[1][0].per_agent[2] is joint.per_agent[2]
+        assert seen[0][0].per_agent[1] is p1 and seen[0][0].per_agent[2] is p2
 
     def test_sweep_cap_logs_and_returns_a_frozen_merge_of_the_capped_plans(self, monkeypatch, caplog):
         from journeyshare import best_response
@@ -211,7 +230,7 @@ class TestRunBrPhase:
         p2 = path_plan(2, ("D", "X", "E"), graph)
         after_sweep = []
         with caplog.at_level(logging.WARNING, logger="journeyshare.best_response"):
-            joint = run_br_phase([p1, p2], graph, on_step=lambda live: after_sweep.append(dict(live.per_agent)))
+            joint = run_br_phase([p1, p2], graph, on_step=lambda snapshot: after_sweep.append(dict(snapshot.per_agent)))
         assert "hit MAX_ROUNDS=1 without converging" in caplog.text
         # agent 2 adopts the corridor in the first sweep, so a second one was due
         assert len(after_sweep) == 2
@@ -343,15 +362,15 @@ def legs_and_costs(per_agent):
     return {agent: (plan.legs, plan.total_cost.hex()) for agent, plan in per_agent.items()}
 
 
-def recorded_searches(monkeypatch, expanded=True):
+def recorded_searches(monkeypatch):
     """The travellers of the plan_individual calls run_br_phase makes, in
-    order; with expanded false, the searches report no expanded nodes."""
+    order."""
     searched = []
     search = best_response.plan_individual
 
-    def recording(graph, request, occupancy, nodes):
+    def recording(graph, request, occupancy, expanded):
         searched.append(request.agent)
-        return search(graph, request, occupancy, nodes if expanded else [])
+        return search(graph, request, occupancy, expanded)
 
     monkeypatch.setattr(best_response, "plan_individual", recording)
     return searched
@@ -363,7 +382,7 @@ class TestSkippedSearches:
     def test_every_step_matches_the_naive_phase(self, phase):
         graph, plans = phase
         steps = []
-        run_br_phase(plans, graph, on_step=lambda live: steps.append(legs_and_costs(live.per_agent)))
+        run_br_phase(plans, graph, on_step=lambda snapshot: steps.append(legs_and_costs(snapshot.per_agent)))
         expected = naive_br_trace(plans, graph, best_response.MAX_ROUNDS)
         assert len(steps) == len(expected)
         for step, oracle in zip(steps, expected):
@@ -395,7 +414,7 @@ class TestSkippedSearches:
                 else:
                     plans.append(plan_individual(graph, AgentRequest(agent, trunk[start], trunk[end])))
             steps = []
-            run_br_phase(plans, graph, on_step=lambda live: steps.append(legs_and_costs(live.per_agent)))
+            run_br_phase(plans, graph, on_step=lambda snapshot: steps.append(legs_and_costs(snapshot.per_agent)))
             assert steps == [legs_and_costs(oracle) for oracle in naive_br_trace(plans, graph, best_response.MAX_ROUNDS)]
             steps_total += len(steps)
         # every phase searches each traveller once, so skipping shows as fewer
@@ -413,7 +432,7 @@ class TestSkippedSearches:
         run_br_phase(
             [path_plan(1, ("C", "D", "E", "F"), graph), path_plan(2, ("D", "X", "E"), graph)],
             graph,
-            on_step=lambda live: steps.append(None),
+            on_step=lambda snapshot: steps.append(None),
         )
         assert len(steps) == 4
         assert searched == [1, 2, 1]
@@ -433,21 +452,42 @@ class TestSkippedSearches:
         assert joint.per_agent[2].stops() == ("B", "M", "Z")
         assert searched == [1, 2, 1, 2]
 
-    def test_an_adoption_off_a_leg_of_the_current_plan_is_searched_again(self, monkeypatch):
-        # The real search expands every node of a plan no dearer than the
-        # one it returns, so each leg of a traveller's plan leaves a node its
-        # last search expanded.  These searches report no expanded nodes, so
-        # only the plan's legs can show that agent 2 left K-Z for K-Q-T:
-        # alone on A-K-Z agent 1 pays 100, and A-M-Z costs 90.
-        graph = graph_of(
-            {("A", "K"): 50, ("K", "Z"): 50, ("A", "M"): 45, ("M", "Z"): 45,
-             ("Z", "T"): 20, ("K", "Q"): 20, ("Q", "T"): 20}
-        )
-        searched = recorded_searches(monkeypatch, expanded=False)
-        joint = run_br_phase([path_plan(1, ("A", "K", "Z"), graph), path_plan(2, ("K", "Z", "T"), graph)], graph)
-        assert joint.per_agent[1].stops() == ("A", "M", "Z")
-        assert joint.per_agent[2].stops() == ("K", "Q", "T")
-        assert searched == [1, 2, 1]
+    def test_every_leg_of_a_searched_plan_leaves_an_expanded_node(self, monkeypatch):
+        # What lets a skipped step ignore counts on the traveller's own legs:
+        # after each search, adopted or not, every leg tail of the traveller's
+        # plan is a node that search expanded, so a count moved on a leg
+        # stamps a node the skip test reads.
+        steps, searches = [], []
+        search = best_response.plan_individual
+
+        def recording(graph, request, occupancy, expanded):
+            searches.append((len(steps), request.agent, expanded))
+            return search(graph, request, occupancy, expanded)
+
+        monkeypatch.setattr(best_response, "plan_individual", recording)
+        rng = random.Random(73)
+        checked = adopted = 0
+        for _ in range(400):
+            nodes = [f"n{i}" for i in range(rng.randint(3, 9))]
+            trunk = rng.sample(nodes, len(nodes))
+            edges = {(a, b): rng.randint(1, 4) for a in nodes for b in nodes if a != b and rng.random() < 0.4}
+            for leg in zip(trunk, trunk[1:]):
+                edges.setdefault(leg, rng.randint(1, 4))
+            graph = graph_of(edges, extra_nodes=set(nodes))
+            plans = []
+            for agent in range(1, rng.randint(2, 6) + 1):
+                start = rng.randrange(len(trunk) - 1)
+                end = rng.randint(start + 1, len(trunk) - 1)
+                plans.append(path_plan(agent, trunk[start : end + 1], graph))
+            steps.clear()
+            searches.clear()
+            run_br_phase(plans, graph, on_step=steps.append)
+            for step, agent, expanded in searches:
+                tails = {graph.positions[leg[0]] for leg in steps[step].per_agent[agent].legs}
+                assert tails <= set(expanded)
+            checked += len(searches)
+            adopted += sum(plan is not steps[-1].per_agent[plan.agent] for plan in plans)
+        assert checked > 2000 and adopted > 200
 
     def test_a_crowd_rise_away_from_the_search_is_searched_again(self, monkeypatch):
         # agent 1's only route is A-Z, so its search expands A alone; agent
@@ -465,7 +505,7 @@ class TestSkippedSearches:
 
 class TestRosenthalPotential:
     def test_empty_joint_plan(self):
-        joint = JointPlan(edges={}, per_agent={})
+        joint = JointPlan(per_agent={})
         assert rosenthal_potential(joint, CORRIDOR) == 0.0
 
     def test_two_agents_one_edge(self):

@@ -1,12 +1,12 @@
 import random
 from array import array
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from journeyshare import planning
-from journeyshare.best_response import JointPlan
 from journeyshare.errors import InputError
 from journeyshare.experiments import DEFAULT_SYNTH_SPEC, prepare_network
 from journeyshare.planning import DISCOUNT_SHARE, FLOOR_SHARE, AgentRequest, Occupancy, plan_individual
@@ -131,7 +131,7 @@ def occupancy_searches(draw):
 
 def rider_oracle(graph, request, riders):
     """uniform_cost_plan under the occupancy costs the riders impose."""
-    return uniform_cost_plan(graph, request, occupancy_cost(JointPlan(edges=riders, per_agent={}), request.agent, graph))
+    return uniform_cost_plan(graph, request, occupancy_cost(SimpleNamespace(edges=riders), request.agent, graph))
 
 
 def occupancy_of(graph, riders, agent):

@@ -10,7 +10,8 @@ from journeyshare.planning import Plan
 from journeyshare.scheduling import (
     MODE_SERVICE,
     MODE_WALK,
-    earliest_arrival_in_part,
+    _Deadline,
+    _PartSolver,
     plan_as_single_part,
     schedule_group,
     schedule_single_agent,
@@ -28,6 +29,11 @@ def conn(service, run, seq, a, b, dep, dur) -> TimetabledConnection:
 
 def solo_part(stops, agent=1) -> Part:
     return Part(id=0, agents=frozenset({agent}), stops=tuple(stops), prev={agent: None}, next={agent: None})
+
+
+def earliest_arrival(part, ready_time, tt):
+    """The forward search's legs and final arrival, or None."""
+    return _PartSolver(part, tt).earliest_arrival(ready_time, _Deadline(None))
 
 
 def path_plan(agent, stops) -> Plan:
@@ -50,23 +56,21 @@ FAST_DIRECT_TT = TransitNetwork(
 class TestEarliestArrivalInPart:
     def test_boards_direct_train_when_it_arrives_first(self):
         part = solo_part(("C", "D", "E", "F"))
-        sched = earliest_arrival_in_part(part, 0, FAST_DIRECT_TT)
-        assert sched is not None
-        assert sched.arrive == 330
-        assert [(l.run_id, l.from_stop, l.to_stop) for l in sched.legs] == [("T1a", "C", "F")]
+        legs, arrive = earliest_arrival(part, 0, FAST_DIRECT_TT)
+        assert arrive == 330
+        assert [(l.run_id, l.from_stop, l.to_stop) for l in legs] == [("T1a", "C", "F")]
 
     def test_takes_stopping_train_when_direct_departed(self):
         part = solo_part(("C", "D", "E", "F"))
-        sched = earliest_arrival_in_part(part, 255, FAST_DIRECT_TT)
-        assert sched is not None
+        legs, arrive = earliest_arrival(part, 255, FAST_DIRECT_TT)
         # T1 left at 250; the stopping run is coalesced into one boarding
-        assert sched.arrive == 370
-        assert [(l.run_id, l.from_stop, l.to_stop) for l in sched.legs] == [("T2a", "C", "F")]
-        assert sched.legs[0].board == 260
+        assert arrive == 370
+        assert [(l.run_id, l.from_stop, l.to_stop) for l in legs] == [("T2a", "C", "F")]
+        assert legs[0].board == 260
 
     def test_empty_relevant_timetable_infeasible(self):
         part = solo_part(("C", "D"))
-        assert earliest_arrival_in_part(part, 0, TransitNetwork({}, ())) is None
+        assert earliest_arrival(part, 0, TransitNetwork({}, ())) is None
 
     def test_dense_timetable_matches_hand_computation(self):
         # a run every 10 minutes, unit legs: presence t boards ceil(t/10)*10
@@ -78,23 +82,18 @@ class TestEarliestArrivalInPart:
             connections.append(conn("S", run, 3, "P2", "P3", dep + 2, 1))
         tt = TransitNetwork({}, tuple(connections))
         part = solo_part(("P0", "P1", "P2", "P3"))
-        assert earliest_arrival_in_part(part, 0, tt).arrive == 3
-        assert earliest_arrival_in_part(part, 5, tt).arrive == 13
-        assert earliest_arrival_in_part(part, 10, tt).arrive == 13
-        assert earliest_arrival_in_part(part, 191, tt) is None
-
-    def test_ready_time_outside_day_rejected(self):
-        part = solo_part(("C", "D"))
-        with pytest.raises(InputError):
-            earliest_arrival_in_part(part, DAY_MINUTES, TransitNetwork({}, ()))
+        assert earliest_arrival(part, 0, tt)[1] == 3
+        assert earliest_arrival(part, 5, tt)[1] == 13
+        assert earliest_arrival(part, 10, tt)[1] == 13
+        assert earliest_arrival(part, 191, tt) is None
 
     def test_arrival_exactly_at_midnight_is_within_the_day(self):
         part = solo_part(("C", "D"))
         tt = TransitNetwork({}, (conn("S", "R1", 1, "C", "D", 1400, 40),))
-        sched = earliest_arrival_in_part(part, 0, tt)
-        assert sched is not None and sched.arrive == DAY_MINUTES
+        found = earliest_arrival(part, 0, tt)
+        assert found is not None and found[1] == DAY_MINUTES
         late = TransitNetwork({}, (conn("S", "R1", 1, "C", "D", 1401, 40),))
-        assert earliest_arrival_in_part(part, 0, late) is None
+        assert earliest_arrival(part, 0, late) is None
 
     def test_walk_link_bridges_missing_service(self):
         part = solo_part(("C", "D", "E"))
@@ -103,9 +102,9 @@ class TestEarliestArrivalInPart:
             connections=(conn("S", "R1", 1, "D", "E", 100, 20),),
             walking_links=frozenset({WalkingLink("C", "D", 7)}),
         )
-        sched = earliest_arrival_in_part(part, 0, tt)
-        assert [l.mode for l in sched.legs] == [MODE_WALK, MODE_SERVICE]
-        assert sched.arrive == 120
+        legs, arrive = earliest_arrival(part, 0, tt)
+        assert [l.mode for l in legs] == [MODE_WALK, MODE_SERVICE]
+        assert arrive == 120
 
 
 class TestTieBreaks:
@@ -122,7 +121,7 @@ class TestTieBreaks:
             ),
         )
         part = solo_part(("C", "D"))
-        assert earliest_arrival_in_part(part, 0, tt).legs[0].run_id == "R1"
+        assert earliest_arrival(part, 0, tt)[0][0].run_id == "R1"
         assert [l.run_id for l in schedule_group([part], tt).schedule[0].legs] == ["R1"]
 
     def test_same_minute_shorter_hop_beats_equally_fast_direct_run(self):
@@ -147,8 +146,8 @@ class TestTieBreaks:
             walking_links=frozenset({WalkingLink("C", "D", 10)}),
         )
         part = solo_part(("C", "D"))
-        sched = earliest_arrival_in_part(part, 50, tt)
-        assert [(l.mode, l.board, l.alight) for l in sched.legs] == [(MODE_WALK, 50, 60)]
+        legs, _ = earliest_arrival(part, 50, tt)
+        assert [(l.mode, l.board, l.alight) for l in legs] == [(MODE_WALK, 50, 60)]
         # with the run at minute 0, both passes of schedule_group meet the tie
         at_zero = TransitNetwork({}, (conn("SA", "R1", 1, "C", "D", 0, 10),), tt.walking_links)
         result = schedule_group([part], at_zero)
