@@ -1,24 +1,26 @@
 """Timetable matching: assigns concrete runs and times to a group's parts.
 
 All members of a part ride the same runs at the same times.  Scheduling is a
-deterministic two-pass policy.  The forward pass walks the parts in
-precedence order and assigns each part its earliest-completion schedule
-(members may have to wait for the slowest companion); among
-earliest-completion options it starts the part as late as possible, so the
-assignment is unambiguous and nobody idles at a boarding stop needlessly.
-The backward pass then delays journey-initial parts as far as their members'
-first fixed boarding allows, squeezing out origin waiting time without
-touching any downstream board time.
+deterministic two-pass policy: times forward, legs backward.  The forward
+pass walks the parts in precedence order and gives each part only its
+earliest arrival once every member is there (members may have to wait for
+the slowest companion).  The backward pass walks them in reverse and picks
+each part's legs once: the latest start that still arrives by a bound.  A
+part's bound is its earliest arrival, so nothing downstream moves and the
+part boards no earlier than it must; a part that starts every one of its
+members' journeys is bounded instead by its members' next boarding (or its
+own arrival), which squeezes out origin waiting time without touching any
+downstream board time.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from .config import EngineConfig
-from .errors import InputError
+from .errors import ConsistencyError, InputError
 from .grouping import Part, part_precedence, relevant_timetable
 from .planning import AgentId, Plan
 from .transit import DAY_MINUTES, TransitNetwork
@@ -41,7 +43,6 @@ class LegAssignment:
 
 @dataclass(frozen=True)
 class PartSchedule:
-    part_id: int
     legs: tuple[LegAssignment, ...]
 
     @property
@@ -118,12 +119,13 @@ class _Deadline:
 
 
 class _PartSolver:
-    """Earliest-arrival / latest-departure searches over one part.
+    """Earliest-arrival time and latest-departure legs over one part.
 
     A move from stop i is (to_index, departure, duration, run_id): first the
     walks to stop i + 1, then the timetabled departures to later part stops,
     both in the network's stop-index order; departure and run_id are None
-    for walks, which start any time.
+    for walks, which start any time.  Among equally good moves both searches
+    keep the first, but only the latest-departure search picks legs.
     """
 
     def __init__(self, part: Part, tt: TransitNetwork):
@@ -141,21 +143,16 @@ class _PartSolver:
                     moves.append((j, conn.departure, conn.duration, conn.run_id))
             self.moves.append(moves)
 
-    def _leg(self, i: int, j: int, run_id: str | None, board: int, alight: int) -> LegAssignment:
-        mode = MODE_WALK if run_id is None else MODE_SERVICE
-        return LegAssignment(self.part.stops[i], self.part.stops[j], mode, run_id, board, alight)
-
-    def earliest_arrival(self, ready_time: int, deadline: _Deadline) -> tuple[list[LegAssignment], int] | None:
-        """Minimal final arrival departing no earlier than ready_time."""
+    def earliest_arrival(self, ready_time: int, deadline: _Deadline) -> int | None:
+        """Minimal final arrival departing no earlier than ready_time, or None."""
         arrival = [_UNREACHED] * self.size
-        parent: list[tuple[int, str | None, int, int] | None] = [None] * self.size
         arrival[0] = ready_time
         for i in range(self.size - 1):
             deadline.check()
             t = arrival[i]
             if t >= _UNREACHED:
                 continue
-            for j, departure, duration, run_id in self.moves[i]:
+            for j, departure, duration, _ in self.moves[i]:
                 if departure is None:
                     board = t
                 elif departure < t:
@@ -165,20 +162,11 @@ class _PartSolver:
                 alight = board + duration
                 if alight <= DAY_MINUTES and alight < arrival[j]:
                     arrival[j] = alight
-                    parent[j] = (i, run_id, board, alight)
-        if arrival[-1] >= _UNREACHED:
-            return None
-        legs: list[LegAssignment] = []
-        j = self.size - 1
-        while j:
-            i, run_id, board, alight = parent[j]
-            legs.append(self._leg(i, j, run_id, board, alight))
-            j = i
-        legs.reverse()
-        return _coalesce(legs), arrival[-1]
+        return arrival[-1] if arrival[-1] < _UNREACHED else None
 
-    def latest_departure(self, arrive_by: int, deadline: _Deadline) -> tuple[list[LegAssignment], int] | None:
-        """Maximal start time such that the part still completes by arrive_by."""
+    def latest_departure(self, arrive_by: int, deadline: _Deadline) -> list[LegAssignment] | None:
+        """Legs of the latest start that still completes the part by arrive_by,
+        consecutive hops on one run merged into one boarding; None if none does."""
         latest = [-_UNREACHED] * self.size
         choice: list[tuple[int, str | None, int, int] | None] = [None] * self.size
         latest[-1] = arrive_by
@@ -199,33 +187,18 @@ class _PartSolver:
                     choice[i] = (j, run_id, board, board + duration)
         if latest[0] <= -_UNREACHED:
             return None
+        stops = self.part.stops
         legs: list[LegAssignment] = []
         i = 0
         while i < self.size - 1:
             j, run_id, board, alight = choice[i]
-            legs.append(self._leg(i, j, run_id, board, alight))
+            if run_id is not None and legs and legs[-1].run_id == run_id:
+                legs[-1] = replace(legs[-1], to_stop=stops[j], alight=alight)
+            else:
+                mode = MODE_WALK if run_id is None else MODE_SERVICE
+                legs.append(LegAssignment(stops[i], stops[j], mode, run_id, board, alight))
             i = j
-        return _coalesce(legs), latest[0]
-
-
-def _coalesce(legs: list[LegAssignment]) -> list[LegAssignment]:
-    """Merge consecutive hops on the same run into one boarded segment."""
-    merged: list[LegAssignment] = []
-    for leg in legs:
-        if (
-            merged
-            and leg.mode == MODE_SERVICE
-            and merged[-1].mode == MODE_SERVICE
-            and leg.run_id == merged[-1].run_id
-            and leg.from_stop == merged[-1].to_stop
-        ):
-            prev = merged.pop()
-            merged.append(
-                LegAssignment(prev.from_stop, leg.to_stop, MODE_SERVICE, leg.run_id, prev.board, leg.alight)
-            )
-        else:
-            merged.append(leg)
-    return merged
+        return legs
 
 
 def schedule_group(
@@ -233,56 +206,46 @@ def schedule_group(
 ) -> ScheduleResult:
     """Two-pass schedule for a whole group, or infeasible/timeout.
 
-    Forward: parts in precedence order, each completing as early as possible
-    once every member has arrived, started as late as that completion time
-    allows.  Backward: journey-initial parts are re-timed as late as their
-    members' first fixed boarding (or own arrival) allows.
+    Forward: parts in precedence order, each given the earliest arrival it
+    can make once every member has arrived.  Backward: parts in reverse
+    order, each given the legs of its latest departure arriving by its
+    earliest arrival, or, for a journey-initial part, by its members'
+    earliest next-part departure or own arrival.  That bound is never before
+    the part's earliest arrival, so the earliest-arrival path always meets
+    it; with the earliest arrival as bound, the latest departure arrives
+    exactly then, so every successor's ready time holds.  A search that
+    finds nothing anyway raises ConsistencyError.
     """
     deadline = _Deadline(time_limit_s)
     topo = part_precedence(parts)
     by_id = {part.id: part for part in parts}
     # built as the forward pass reaches each part; the backward pass visits no other
     solvers: dict[int, _PartSolver] = {}
-
+    arrival: dict[int, int] = {}
     schedules: dict[int, PartSchedule] = {}
     try:
         for pid in topo:
             part = by_id[pid]
-            ready = 0
-            for agent in part.agents:
-                prev_pid = part.prev[agent]
-                if prev_pid is not None:
-                    ready = max(ready, schedules[prev_pid].arrive)
+            ready = max((arrival[prev] for prev in part.prev.values() if prev is not None), default=0)
             if ready >= DAY_MINUTES:
                 return ScheduleResult(schedule=None)
             solvers[pid] = _PartSolver(part, tt)
             found = solvers[pid].earliest_arrival(ready, deadline)
             if found is None:
                 return ScheduleResult(schedule=None)
-            legs, arrival = found
-            # start the part as late as its earliest completion allows
-            delayed = solvers[pid].latest_departure(arrival, deadline)
-            if delayed is not None:
-                legs, _ = delayed
-            schedules[pid] = PartSchedule(part_id=pid, legs=tuple(legs))
+            arrival[pid] = found
 
-        # wait compression: only parts that start every one of their members'
-        # journeys may move, so no already-fixed boarding is disturbed
-        for pid in topo:
+        for pid in reversed(topo):
             part = by_id[pid]
-            if any(part.prev[agent] is not None for agent in part.agents):
-                continue
-            bounds = []
-            for agent in sorted(part.agents, key=str):
-                nxt = part.next[agent]
-                if nxt is None:
-                    bounds.append(schedules[pid].arrive)
-                else:
-                    bounds.append(schedules[nxt].depart)
-            found = solvers[pid].latest_departure(min(bounds), deadline)
-            if found is not None:
-                legs, _ = found
-                schedules[pid] = PartSchedule(part_id=pid, legs=tuple(legs))
+            bound = arrival[pid]
+            # wait compression: only parts that start every one of their
+            # members' journeys may move, so no fixed boarding is disturbed
+            if all(prev is None for prev in part.prev.values()):
+                bound = min(bound if nxt is None else schedules[nxt].depart for nxt in part.next.values())
+            legs = solvers[pid].latest_departure(bound, deadline)
+            if legs is None:
+                raise ConsistencyError(f"part {pid} arrives at {arrival[pid]}, yet no departure arrives by {bound}")
+            schedules[pid] = PartSchedule(legs=tuple(legs))
     except SchedulingTimeout:
         return ScheduleResult(schedule=None, timed_out=True)
 

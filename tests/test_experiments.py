@@ -36,7 +36,9 @@ GRID = SyntheticNetworkSpec(width=6, height=8, spacing_km=8.0, headway_min=60, l
 
 
 # (matrix, golden results.csv in tests/data) pairs; the dense grid is the
-# 20x40 grid at headway 60, where slicing and scheduling dominate
+# 20x40 grid at headway 60, where slicing and scheduling dominate, and the
+# walking grid spaces stops 0.45 km apart, inside the 0.5 km walk limit, so
+# its itineraries mix walk and service legs
 GOLDEN_BATCHES = [
     (default_matrix(), "default_batch.csv"),
     (
@@ -49,6 +51,27 @@ GOLDEN_BATCHES = [
             "base_seed": 7000,
         },
         "dense_batch.csv",
+    ),
+    (
+        {
+            "scenario": "grid6x8walk",
+            "network": {
+                "synthetic": {
+                    "width": 6,
+                    "height": 8,
+                    "spacing_km": 0.45,
+                    "headway_min": 30,
+                    "leg_min": 1,
+                    "line_offset_min": 7,
+                }
+            },
+            "agents": [4, 8],
+            "seeds_per_direction": 2,
+            "base_seed": 7000,
+            "min_km": 0.3,
+            "max_km": 5.0,
+        },
+        "walk_batch.csv",
     ),
 ]
 
@@ -462,11 +485,12 @@ class TestRunBatch:
         with pytest.raises(InputError, match=rf"matrix cell 1 \(scenario 't'\): engine\.{key} must be positive"):
             run_batch([runs_nothing, bad])
 
-    @pytest.mark.parametrize("matrix, golden", GOLDEN_BATCHES, ids=["default", "dense"])
+    @pytest.mark.parametrize("matrix, golden", GOLDEN_BATCHES, ids=["default", "dense", "walk"])
     def test_default_batch_matches_golden_output(self, tmp_path, matrix, golden):
         """A batch's results.csv, timing columns aside, equals its golden
-        copy in tests/data: the default matrix's default_batch.csv, and
-        dense_batch.csv for two experiments on a 60,000-connection grid.  A
+        copy in tests/data: the default matrix's default_batch.csv,
+        dense_batch.csv for two experiments on a 60,000-connection grid, and
+        walk_batch.csv for 16 experiments on a grid with walking links.  A
         change that alters plans on purpose rewrites these files from
         run_batch and says so."""
         golden_path = Path(__file__).parent / "data" / golden

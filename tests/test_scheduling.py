@@ -4,7 +4,7 @@ import pytest
 
 from journeyshare.best_response import merge_plans
 from journeyshare.config import EngineConfig
-from journeyshare.errors import InputError
+from journeyshare.errors import ConsistencyError, InputError
 from journeyshare.grouping import Part, identify_groups, relevant_timetable, split_into_parts
 from journeyshare.planning import Plan
 from journeyshare.scheduling import (
@@ -32,8 +32,13 @@ def solo_part(stops, agent=1) -> Part:
 
 
 def earliest_arrival(part, ready_time, tt):
-    """The forward search's legs and final arrival, or None."""
+    """The forward search's final arrival, or None."""
     return _PartSolver(part, tt).earliest_arrival(ready_time, _Deadline(None))
+
+
+def latest_departure(part, arrive_by, tt):
+    """The backward search's legs, or None."""
+    return _PartSolver(part, tt).latest_departure(arrive_by, _Deadline(None))
 
 
 def path_plan(agent, stops) -> Plan:
@@ -56,15 +61,17 @@ FAST_DIRECT_TT = TransitNetwork(
 class TestEarliestArrivalInPart:
     def test_boards_direct_train_when_it_arrives_first(self):
         part = solo_part(("C", "D", "E", "F"))
-        legs, arrive = earliest_arrival(part, 0, FAST_DIRECT_TT)
+        arrive = earliest_arrival(part, 0, FAST_DIRECT_TT)
         assert arrive == 330
+        legs = latest_departure(part, arrive, FAST_DIRECT_TT)
         assert [(l.run_id, l.from_stop, l.to_stop) for l in legs] == [("T1a", "C", "F")]
 
     def test_takes_stopping_train_when_direct_departed(self):
         part = solo_part(("C", "D", "E", "F"))
-        legs, arrive = earliest_arrival(part, 255, FAST_DIRECT_TT)
-        # T1 left at 250; the stopping run is coalesced into one boarding
+        arrive = earliest_arrival(part, 255, FAST_DIRECT_TT)
+        # T1 left at 250; the stopping run is merged into one boarding
         assert arrive == 370
+        legs = latest_departure(part, arrive, FAST_DIRECT_TT)
         assert [(l.run_id, l.from_stop, l.to_stop) for l in legs] == [("T2a", "C", "F")]
         assert legs[0].board == 260
 
@@ -82,16 +89,15 @@ class TestEarliestArrivalInPart:
             connections.append(conn("S", run, 3, "P2", "P3", dep + 2, 1))
         tt = TransitNetwork({}, tuple(connections))
         part = solo_part(("P0", "P1", "P2", "P3"))
-        assert earliest_arrival(part, 0, tt)[1] == 3
-        assert earliest_arrival(part, 5, tt)[1] == 13
-        assert earliest_arrival(part, 10, tt)[1] == 13
+        assert earliest_arrival(part, 0, tt) == 3
+        assert earliest_arrival(part, 5, tt) == 13
+        assert earliest_arrival(part, 10, tt) == 13
         assert earliest_arrival(part, 191, tt) is None
 
     def test_arrival_exactly_at_midnight_is_within_the_day(self):
         part = solo_part(("C", "D"))
         tt = TransitNetwork({}, (conn("S", "R1", 1, "C", "D", 1400, 40),))
-        found = earliest_arrival(part, 0, tt)
-        assert found is not None and found[1] == DAY_MINUTES
+        assert earliest_arrival(part, 0, tt) == DAY_MINUTES
         late = TransitNetwork({}, (conn("S", "R1", 1, "C", "D", 1401, 40),))
         assert earliest_arrival(part, 0, late) is None
 
@@ -102,15 +108,16 @@ class TestEarliestArrivalInPart:
             connections=(conn("S", "R1", 1, "D", "E", 100, 20),),
             walking_links=frozenset({WalkingLink("C", "D", 7)}),
         )
-        legs, arrive = earliest_arrival(part, 0, tt)
-        assert [l.mode for l in legs] == [MODE_WALK, MODE_SERVICE]
+        arrive = earliest_arrival(part, 0, tt)
         assert arrive == 120
+        assert [l.mode for l in latest_departure(part, arrive, tt)] == [MODE_WALK, MODE_SERVICE]
 
 
 class TestTieBreaks:
-    """Among equally good moves both searches keep the first in stop-index
-    order: walks, then departures by (departure, duration, run_id, seq).
-    Each network below lists its connections by service, which disagrees."""
+    """Among equally good moves the backward search, which alone picks legs,
+    keeps the first in stop-index order: walks, then departures by
+    (departure, duration, run_id, seq).  Each network below lists its
+    connections by service, which disagrees."""
 
     def test_same_minute_runs_keep_lowest_run_id(self):
         tt = TransitNetwork(
@@ -121,7 +128,7 @@ class TestTieBreaks:
             ),
         )
         part = solo_part(("C", "D"))
-        assert earliest_arrival(part, 0, tt)[0][0].run_id == "R1"
+        assert [l.run_id for l in latest_departure(part, 130, tt)] == ["R1"]
         assert [l.run_id for l in schedule_group([part], tt).schedule[0].legs] == ["R1"]
 
     def test_same_minute_shorter_hop_beats_equally_fast_direct_run(self):
@@ -140,16 +147,13 @@ class TestTieBreaks:
         ]
 
     def test_walk_beats_service_boarding_the_same_minute(self):
-        tt = TransitNetwork(
+        # with the run at minute 0 the backward pass meets the tie
+        at_zero = TransitNetwork(
             {},
-            connections=(conn("SA", "R1", 1, "C", "D", 50, 10),),
+            connections=(conn("SA", "R1", 1, "C", "D", 0, 10),),
             walking_links=frozenset({WalkingLink("C", "D", 10)}),
         )
         part = solo_part(("C", "D"))
-        legs, _ = earliest_arrival(part, 50, tt)
-        assert [(l.mode, l.board, l.alight) for l in legs] == [(MODE_WALK, 50, 60)]
-        # with the run at minute 0, both passes of schedule_group meet the tie
-        at_zero = TransitNetwork({}, (conn("SA", "R1", 1, "C", "D", 0, 10),), tt.walking_links)
         result = schedule_group([part], at_zero)
         assert [(l.mode, l.board, l.alight) for l in result.schedule[0].legs] == [(MODE_WALK, 0, 10)]
 
@@ -226,6 +230,49 @@ class TestScheduleGroup:
         assert not result.feasible and not result.timed_out
         assert len(built) == 1
         assert next(p for p in parts if p.id == built[0]).stops == ("A", "B")
+
+    def test_one_search_each_way_per_part(self, monkeypatch):
+        from journeyshare import scheduling
+
+        calls = []
+
+        class CountingSolver(scheduling._PartSolver):
+            def earliest_arrival(self, ready_time, deadline):
+                calls.append(("earliest", self.part.id))
+                return super().earliest_arrival(ready_time, deadline)
+
+            def latest_departure(self, arrive_by, deadline):
+                calls.append(("latest", self.part.id))
+                return super().latest_departure(arrive_by, deadline)
+
+        monkeypatch.setattr(scheduling, "_PartSolver", CountingSolver)
+        parts = two_agent_parts()
+        served = (
+            conn("SA", "RA", 1, "A", "C", 0, 30),
+            conn("SB", "RB", 1, "B", "C", 0, 90),
+            conn("SG", "RG", 1, "F", "G", 200, 10),
+            conn("SH", "RH", 1, "F", "H", 200, 10),
+        )
+        result = schedule_group(parts, TransitNetwork({}, served + (conn("SC", "RC", 1, "C", "F", 120, 40),)))
+        assert result.feasible
+        ids = sorted(part.id for part in parts)
+        assert sorted(pid for kind, pid in calls if kind == "earliest") == ids
+        assert sorted(pid for kind, pid in calls if kind == "latest") == ids
+        # nothing serves the shared C-F part: the forward pass fails, no legs are searched
+        calls.clear()
+        assert not schedule_group(parts, TransitNetwork({}, served)).feasible
+        assert calls and all(kind == "earliest" for kind, _ in calls)
+
+    def test_backward_search_finding_nothing_is_a_consistency_error(self, monkeypatch):
+        from journeyshare import scheduling
+
+        class NoLegs(scheduling._PartSolver):
+            def latest_departure(self, arrive_by, deadline):
+                return None
+
+        monkeypatch.setattr(scheduling, "_PartSolver", NoLegs)
+        with pytest.raises(ConsistencyError, match="^part 0 arrives at 330, yet no departure arrives by 330$"):
+            schedule_group([solo_part(("C", "D", "E", "F"))], FAST_DIRECT_TT)
 
     def test_timeout_reported_distinctly(self):
         parts = two_agent_parts()
