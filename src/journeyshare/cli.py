@@ -35,10 +35,6 @@ def load_requests(path: str | Path, stops: Container[str]) -> list[AgentRequest]
     requests = []
     first_line: dict[str, int] = {}
     for lineno, row in read_csv(path, ["agent", "origin", "destination"]):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise ParseError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
         agent, origin, destination = (c.strip() for c in row)
         if agent in first_line:
             raise ParseError(f"{path}:{lineno}: duplicate agent id {agent!r} (first on line {first_line[agent]})")

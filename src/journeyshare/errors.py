@@ -57,13 +57,15 @@ def read_text(path: str | Path) -> str:
 
 
 def read_csv(path: str | Path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
-    """The rows of a CSV file after its header, each with the line it starts on.
+    """The non-blank rows of a CSV file after its header, each with the line
+    it starts on and as many fields as the header.
 
     A quoted field may span lines and keeps its newlines, so a row starts on
-    the line after the one where the previous row ended.  Raises ParseError
-    naming the file and line 1 when the header's stripped cells are not
-    header, and the line at which the csv module gave up, e.g. on a field
-    over its size limit.
+    the line after the one where the previous row ended.  Cells are not
+    stripped.  Raises ParseError naming the file and line 1 when the
+    header's stripped cells are not header, the line of a row with another
+    number of fields, and the line at which the csv module gave up, e.g. on
+    a field over its size limit.
     """
     reader = csv.reader(io.StringIO(read_text(path)))
     try:
@@ -72,7 +74,10 @@ def read_csv(path: str | Path, header: list[str]) -> Iterator[tuple[int, list[st
             raise ParseError(f"{path}:1: expected header {','.join(header)!r}, got {','.join(first)!r}")
         line = reader.line_num + 1
         for row in reader:
-            yield line, row
+            if row:
+                if len(row) != len(header):
+                    raise ParseError(f"{path}:{line}: expected {len(header)} fields, got {len(row)}")
+                yield line, row
             line = reader.line_num + 1
     except csv.Error as exc:
         raise ParseError(f"{path}:{reader.line_num}: {exc}") from None

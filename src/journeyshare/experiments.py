@@ -450,12 +450,8 @@ def validate_results_file(path: str | Path) -> int:
     """Re-check row-level invariants of a results.csv; returns the row count."""
     count = 0
     for lineno, row in read_csv(path, RESULTS_COLUMNS):
-        if not row:
-            continue
         count += 1
         where = f"{path}:{lineno}"
-        if len(row) != len(RESULTS_COLUMNS):
-            raise ParseError(f"{where}: expected {len(RESULTS_COLUMNS)} fields, got {len(row)}")
         record = dict(zip(RESULTS_COLUMNS, row))
         if record["delta_c"]:
             if _number(record, "delta_c", where) < -1e-12:

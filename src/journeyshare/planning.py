@@ -169,7 +169,7 @@ def plan_individual(
     # is the float shared_cost(base, k + 1) returns
     share = [DISCOUNT_SHARE / n + FLOOR_SHARE for n in range(1, occupancy.crowd + 1)]
     guide = (1.0 - GUIDE_SLACK) * share[-1]
-    counts, first_slots = occupancy.counts, graph.first_slots
+    counts = occupancy.counts
 
     # Labels are (cost + guide * remaining, cost, hops, parent's path, node),
     # with paths of node positions, which order as the stop names do; labels
@@ -196,7 +196,7 @@ def plan_individual(
         if expanded is not None:
             expanded.append(node)
         hops += 1
-        for slot, (succ, base) in enumerate(out_edges[node], first_slots[node]):
+        for succ, base, slot in out_edges[node]:
             g = cost + share[counts[slot]] * base
             if g > best[succ]:
                 continue

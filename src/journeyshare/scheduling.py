@@ -10,11 +10,13 @@ part's bound is its earliest arrival, so nothing downstream moves and the
 part boards no earlier than it must; a part that starts every one of its
 members' journeys is bounded instead by its members' next boarding (or its
 own arrival), which squeezes out origin waiting time without touching any
-downstream board time.
+downstream board time.  A group's wall-clock budget is checked between part
+searches, before each one in both passes, never inside a search.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Mapping
@@ -105,19 +107,6 @@ class ScheduleResult:
         return self.schedule is not None
 
 
-class SchedulingTimeout(Exception):
-    """Internal signal: per-group wall-clock budget exhausted."""
-
-
-class _Deadline:
-    def __init__(self, limit_s: float | None):
-        self.at = None if limit_s is None else time.perf_counter() + limit_s
-
-    def check(self) -> None:
-        if self.at is not None and time.perf_counter() > self.at:
-            raise SchedulingTimeout
-
-
 class _PartSolver:
     """Earliest-arrival time and latest-departure legs over one part.
 
@@ -143,12 +132,11 @@ class _PartSolver:
                     moves.append((j, conn.departure, conn.duration, conn.run_id))
             self.moves.append(moves)
 
-    def earliest_arrival(self, ready_time: int, deadline: _Deadline) -> int | None:
+    def earliest_arrival(self, ready_time: int) -> int | None:
         """Minimal final arrival departing no earlier than ready_time, or None."""
         arrival = [_UNREACHED] * self.size
         arrival[0] = ready_time
         for i in range(self.size - 1):
-            deadline.check()
             t = arrival[i]
             if t >= _UNREACHED:
                 continue
@@ -164,14 +152,13 @@ class _PartSolver:
                     arrival[j] = alight
         return arrival[-1] if arrival[-1] < _UNREACHED else None
 
-    def latest_departure(self, arrive_by: int, deadline: _Deadline) -> list[LegAssignment] | None:
+    def latest_departure(self, arrive_by: int) -> list[LegAssignment] | None:
         """Legs of the latest start that still completes the part by arrive_by,
         consecutive hops on one run merged into one boarding; None if none does."""
         latest = [-_UNREACHED] * self.size
         choice: list[tuple[int, str | None, int, int] | None] = [None] * self.size
         latest[-1] = arrive_by
         for i in range(self.size - 2, -1, -1):
-            deadline.check()
             for j, departure, duration, run_id in self.moves[i]:
                 bound = latest[j]
                 if bound <= -_UNREACHED:
@@ -215,39 +202,44 @@ def schedule_group(
     it; with the earliest arrival as bound, the latest departure arrives
     exactly then, so every successor's ready time holds.  A search that
     finds nothing anyway raises ConsistencyError.
+
+    The clock is read once, at the start: before each part's search in
+    either pass, a group whose time_limit_s has run out is given up as timed
+    out.  None sets no limit.
     """
-    deadline = _Deadline(time_limit_s)
+    deadline = time.perf_counter() + (math.inf if time_limit_s is None else time_limit_s)
     topo = part_precedence(parts)
     by_id = {part.id: part for part in parts}
     # built as the forward pass reaches each part; the backward pass visits no other
     solvers: dict[int, _PartSolver] = {}
     arrival: dict[int, int] = {}
-    schedules: dict[int, PartSchedule] = {}
-    try:
-        for pid in topo:
-            part = by_id[pid]
-            ready = max((arrival[prev] for prev in part.prev.values() if prev is not None), default=0)
-            if ready >= DAY_MINUTES:
-                return ScheduleResult(schedule=None)
-            solvers[pid] = _PartSolver(part, tt)
-            found = solvers[pid].earliest_arrival(ready, deadline)
-            if found is None:
-                return ScheduleResult(schedule=None)
-            arrival[pid] = found
+    for pid in topo:
+        if time.perf_counter() >= deadline:
+            return ScheduleResult(schedule=None, timed_out=True)
+        part = by_id[pid]
+        ready = max((arrival[prev] for prev in part.prev.values() if prev is not None), default=0)
+        if ready >= DAY_MINUTES:
+            return ScheduleResult(schedule=None)
+        solvers[pid] = _PartSolver(part, tt)
+        found = solvers[pid].earliest_arrival(ready)
+        if found is None:
+            return ScheduleResult(schedule=None)
+        arrival[pid] = found
 
-        for pid in reversed(topo):
-            part = by_id[pid]
-            bound = arrival[pid]
-            # wait compression: only parts that start every one of their
-            # members' journeys may move, so no fixed boarding is disturbed
-            if all(prev is None for prev in part.prev.values()):
-                bound = min(bound if nxt is None else schedules[nxt].depart for nxt in part.next.values())
-            legs = solvers[pid].latest_departure(bound, deadline)
-            if legs is None:
-                raise ConsistencyError(f"part {pid} arrives at {arrival[pid]}, yet no departure arrives by {bound}")
-            schedules[pid] = PartSchedule(legs=tuple(legs))
-    except SchedulingTimeout:
-        return ScheduleResult(schedule=None, timed_out=True)
+    schedules: dict[int, PartSchedule] = {}
+    for pid in reversed(topo):
+        if time.perf_counter() >= deadline:
+            return ScheduleResult(schedule=None, timed_out=True)
+        part = by_id[pid]
+        bound = arrival[pid]
+        # wait compression: only parts that start every one of their
+        # members' journeys may move, so no fixed boarding is disturbed
+        if all(prev is None for prev in part.prev.values()):
+            bound = min(bound if nxt is None else schedules[nxt].depart for nxt in part.next.values())
+        legs = solvers[pid].latest_departure(bound)
+        if legs is None:
+            raise ConsistencyError(f"part {pid} arrives at {arrival[pid]}, yet no departure arrives by {bound}")
+        schedules[pid] = PartSchedule(legs=tuple(legs))
 
     # each agent's itinerary is its part schedules concatenated; the
     # precedence order visits every agent's parts in travel order

@@ -16,12 +16,12 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, groupby
+from itertools import chain, groupby
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .errors import ParseError, ReferentialError, ValidationError, read_csv
+from .errors import JourneyShareError, ParseError, ReferentialError, ValidationError, read_csv
 
 EARTH_RADIUS_KM = 6371.0
 DAY_MINUTES = 1440
@@ -151,8 +151,8 @@ class TransitNetwork:
 class RelaxedGraph:
     """Directed stop graph with minimal inter-stop durations.
 
-    The search indexes (names, positions, out_edges, slots, first_slots) and
-    the per-destination trees are built on first use and are not fields, so
+    The search indexes (names, positions, out_edges, slots) and the
+    per-destination trees are built on first use and are not fields, so
     they take no part in == or repr.
     """
 
@@ -171,32 +171,27 @@ class RelaxedGraph:
         return {node: i for i, node in enumerate(self.names)}
 
     @cached_property
-    def out_edges(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per node position, the (successor position, base cost) of its
-        out-edges, successors in name order."""
+    def out_edges(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """Per node position, the (successor position, base cost, slot) of
+        its out-edges, successors in name order."""
         position = self.positions
-        out: list[list[tuple[int, int]]] = [[] for _ in self.names]
-        for (node, succ), base in sorted(self.edges.items()):
-            out[position[node]].append((position[succ], base))
+        out: list[list[tuple[int, int, int]]] = [[] for _ in self.names]
+        for slot, ((node, succ), base) in enumerate(sorted(self.edges.items())):
+            out[position[node]].append((position[succ], base, slot))
         return tuple(map(tuple, out))
 
     @cached_property
     def slots(self) -> dict[tuple[str, str], int]:
-        """Each edge's slot: its index in out_edges read node by node, which
-        is its index among the sorted edges."""
+        """Each edge's slot, as out_edges gives it: its index among the
+        sorted edges."""
         return {edge: slot for slot, edge in enumerate(sorted(self.edges))}
-
-    @cached_property
-    def first_slots(self) -> tuple[int, ...]:
-        """Per node position, the slot of its first out-edge."""
-        return tuple(accumulate((len(out) for out in self.out_edges[:-1]), initial=0))
 
     @cached_property
     def _in_edges(self) -> list[list[tuple[int, int]]]:
         """Per node position, the (predecessor position, base cost) of its in-edges."""
         in_edges: list[list[tuple[int, int]]] = [[] for _ in self.names]
         for node, out in enumerate(self.out_edges):
-            for succ, base in out:
+            for succ, base, _ in out:
                 in_edges[succ].append((node, base))
         return in_edges
 
@@ -277,10 +272,6 @@ def latitude_window_deg(km: float) -> float:
 def load_stops(path: str | Path) -> dict[str, Stop]:
     stops: dict[str, Stop] = {}
     for lineno, row in read_csv(path, STOPS_HEADER):
-        if not row:
-            continue
-        if len(row) != len(STOPS_HEADER):
-            raise ParseError(f"{path}:{lineno}: expected {len(STOPS_HEADER)} fields, got {len(row)}")
         stop_id, stop_name, lat, lon, mode = (c.strip() for c in row)
         try:
             stop = Stop(stop_id, stop_name, float(lat), float(lon), mode)
@@ -294,41 +285,49 @@ def load_stops(path: str | Path) -> dict[str, Stop]:
     return stops
 
 
-class _BrokenRun(ValidationError):
-    """A run whose legs do not chain; leg is the first offending one in
-    network order."""
-
-    def __init__(self, leg: TimetabledConnection, problem: str) -> None:
-        super().__init__(problem)
-        self.leg = leg
+def _bad_leg(kind: type[JourneyShareError], leg: TimetabledConnection, problem: str) -> JourneyShareError:
+    """kind(problem), carrying leg, the first offending leg in network order,
+    for load_network to name its line."""
+    exc = kind(problem)
+    exc.leg = leg
+    return exc
 
 
 def make_network(stops: Mapping[str, Stop], connections: Iterable[TimetabledConnection]) -> TransitNetwork:
-    """The network, connections ordered by (service_id, run_id, seq); ValidationError on a broken run.
+    """The network, connections ordered by (service_id, run_id, seq).
 
-    The runs are checked in one pass over the ordered connections, each leg
-    against the one before it, without grouping them.
+    One pass over the ordered connections checks each leg's stops against
+    stops, raising ReferentialError naming the first unknown one, and each
+    leg against the one before it, raising ValidationError on a broken run,
+    without grouping the runs.
     """
     connections = tuple(sorted(connections, key=attrgetter("service_id", "run_id", "seq")))
     started: set[str] = set()
     prev = None
     for leg in connections:
+        for stop_id in (leg.from_stop, leg.to_stop):
+            if stop_id not in stops:
+                raise _bad_leg(ReferentialError, leg, f"unknown stop {stop_id!r}")
         if prev is None or leg.run_id != prev.run_id or leg.service_id != prev.service_id:
             if leg.run_id in started:
                 services = sorted({c.service_id for c in connections if c.run_id == leg.run_id})
-                raise _BrokenRun(leg, f"run {leg.run_id} spans services {services}")
+                raise _bad_leg(ValidationError, leg, f"run {leg.run_id} spans services {services}")
             started.add(leg.run_id)
             if leg.seq != 1:
-                raise _BrokenRun(leg, f"run {leg.run_id}: seq values not consecutive from 1")
+                raise _bad_leg(ValidationError, leg, f"run {leg.run_id}: seq values not consecutive from 1")
         elif leg.seq != prev.seq + 1:
-            raise _BrokenRun(leg, f"run {leg.run_id}: seq values not consecutive from 1")
+            raise _bad_leg(ValidationError, leg, f"run {leg.run_id}: seq values not consecutive from 1")
         elif leg.from_stop != prev.to_stop:
-            raise _BrokenRun(
-                leg, f"run {leg.run_id} seq {leg.seq}: departs {leg.from_stop} but previous leg ends at {prev.to_stop}"
+            raise _bad_leg(
+                ValidationError,
+                leg,
+                f"run {leg.run_id} seq {leg.seq}: departs {leg.from_stop} but previous leg ends at {prev.to_stop}",
             )
         elif leg.departure < prev.departure + prev.duration:
-            raise _BrokenRun(
-                leg, f"run {leg.run_id} seq {leg.seq}: departs at {leg.departure} before arrival of previous leg"
+            raise _bad_leg(
+                ValidationError,
+                leg,
+                f"run {leg.run_id} seq {leg.seq}: departs at {leg.departure} before arrival of previous leg",
             )
         prev = leg
     return TransitNetwork(stops=stops, connections=connections)
@@ -346,10 +345,6 @@ def load_network(stops_path: str | Path, timetable_path: str | Path) -> TransitN
     rows: dict[tuple[str, int], TimetabledConnection] = {}
     line_of: dict[tuple[str, int], int] = {}
     for lineno, row in read_csv(timetable_path, TIMETABLE_HEADER):
-        if not row:
-            continue
-        if len(row) != len(TIMETABLE_HEADER):
-            raise ParseError(f"{timetable_path}:{lineno}: expected {len(TIMETABLE_HEADER)} fields, got {len(row)}")
         service_id, run_id, seq, from_stop, to_stop, departure, duration = (c.strip() for c in row)
         try:
             conn = TimetabledConnection(
@@ -359,15 +354,12 @@ def load_network(stops_path: str | Path, timetable_path: str | Path) -> TransitN
             raise ParseError(f"{timetable_path}:{lineno}: non-integer field in {row!r}") from exc
         except ValidationError as exc:
             raise ParseError(f"{timetable_path}:{lineno}: {exc}") from exc
-        for stop_id in (conn.from_stop, conn.to_stop):
-            if stop_id not in stops:
-                raise ReferentialError(f"{timetable_path}:{lineno}: unknown stop {stop_id!r}")
         rows[(conn.run_id, conn.seq)] = conn
         line_of[(conn.run_id, conn.seq)] = lineno
     try:
         return make_network(stops, rows.values())
-    except _BrokenRun as exc:
-        raise ValidationError(f"{timetable_path}:{line_of[(exc.leg.run_id, exc.leg.seq)]}: {exc}") from None
+    except (ReferentialError, ValidationError) as exc:
+        raise type(exc)(f"{timetable_path}:{line_of[(exc.leg.run_id, exc.leg.seq)]}: {exc}") from None
 
 
 def save_network(network: TransitNetwork, stops_path: str | Path, timetable_path: str | Path) -> None:

@@ -251,9 +251,23 @@ class TestOccupancy:
 
     def test_slots_follow_the_out_edges_node_by_node(self):
         graph = graph_of({("B", "A"): 2, ("A", "C"): 3, ("A", "B"): 1, ("C", "A"): 4}, extra_nodes={"D"})
-        flattened = [(graph.names[node], graph.names[succ]) for node, out in enumerate(graph.out_edges) for succ, _ in out]
+        names = graph.names
+        flattened = [(names[node], names[succ]) for node, out in enumerate(graph.out_edges) for succ, *_ in out]
         assert [graph.slots[edge] for edge in flattened] == list(range(4))
-        assert graph.first_slots == (0, 2, 3, 4)
+        assert [[slot for *_, slot in out] for out in graph.out_edges] == [[0, 1], [2], [3], []]
+
+    def test_every_out_edge_carries_its_slot_and_base_cost(self):
+        rng = random.Random(29)
+        for _ in range(200):
+            _, graph = tie_heavy_graph(rng)
+            entries = 0
+            for node, out in enumerate(graph.out_edges):
+                for succ, base, slot in out:
+                    edge = (graph.names[node], graph.names[succ])
+                    assert slot == graph.slots[edge]
+                    assert base == graph.edges[edge]
+                    entries += 1
+            assert entries == len(graph.edges)
 
 
 class TestDistanceCache:

@@ -10,7 +10,6 @@ from journeyshare.planning import Plan
 from journeyshare.scheduling import (
     MODE_SERVICE,
     MODE_WALK,
-    _Deadline,
     _PartSolver,
     plan_as_single_part,
     schedule_group,
@@ -33,12 +32,12 @@ def solo_part(stops, agent=1) -> Part:
 
 def earliest_arrival(part, ready_time, tt):
     """The forward search's final arrival, or None."""
-    return _PartSolver(part, tt).earliest_arrival(ready_time, _Deadline(None))
+    return _PartSolver(part, tt).earliest_arrival(ready_time)
 
 
 def latest_departure(part, arrive_by, tt):
     """The backward search's legs, or None."""
-    return _PartSolver(part, tt).latest_departure(arrive_by, _Deadline(None))
+    return _PartSolver(part, tt).latest_departure(arrive_by)
 
 
 def path_plan(agent, stops) -> Plan:
@@ -237,13 +236,13 @@ class TestScheduleGroup:
         calls = []
 
         class CountingSolver(scheduling._PartSolver):
-            def earliest_arrival(self, ready_time, deadline):
+            def earliest_arrival(self, ready_time):
                 calls.append(("earliest", self.part.id))
-                return super().earliest_arrival(ready_time, deadline)
+                return super().earliest_arrival(ready_time)
 
-            def latest_departure(self, arrive_by, deadline):
+            def latest_departure(self, arrive_by):
                 calls.append(("latest", self.part.id))
-                return super().latest_departure(arrive_by, deadline)
+                return super().latest_departure(arrive_by)
 
         monkeypatch.setattr(scheduling, "_PartSolver", CountingSolver)
         parts = two_agent_parts()
@@ -267,7 +266,7 @@ class TestScheduleGroup:
         from journeyshare import scheduling
 
         class NoLegs(scheduling._PartSolver):
-            def latest_departure(self, arrive_by, deadline):
+            def latest_departure(self, arrive_by):
                 return None
 
         monkeypatch.setattr(scheduling, "_PartSolver", NoLegs)
@@ -279,6 +278,50 @@ class TestScheduleGroup:
         result = schedule_group(parts, TransitNetwork({}, ()), time_limit_s=0.0)
         assert not result.feasible
         assert result.timed_out
+
+    def test_budget_checked_before_each_part_search(self, monkeypatch):
+        from journeyshare import scheduling
+
+        calls = []
+
+        class CountingSolver(scheduling._PartSolver):
+            def earliest_arrival(self, ready_time):
+                calls.append("earliest")
+                return super().earliest_arrival(ready_time)
+
+            def latest_departure(self, arrive_by):
+                calls.append("latest")
+                return super().latest_departure(arrive_by)
+
+        # the clock stands still through the forward pass, then jumps past the limit
+        parts = two_agent_parts()
+        now = [0.0]
+
+        def clock():
+            if len(calls) == len(parts):
+                now[0] = 10.0
+            return now[0]
+
+        monkeypatch.setattr(scheduling, "_PartSolver", CountingSolver)
+        monkeypatch.setattr(scheduling.time, "perf_counter", clock)
+        tt = TransitNetwork(
+            {},
+            (
+                conn("SA", "RA", 1, "A", "C", 0, 30),
+                conn("SB", "RB", 1, "B", "C", 0, 90),
+                conn("SC", "RC", 1, "C", "F", 120, 40),
+                conn("SG", "RG", 1, "F", "G", 200, 10),
+                conn("SH", "RH", 1, "F", "H", 200, 10),
+            ),
+        )
+        result = schedule_group(parts, tt, time_limit_s=5.0)
+        assert not result.feasible and result.timed_out
+        assert calls == ["earliest"] * len(parts)
+        # with no limit the same clock never stops the group
+        calls.clear()
+        now[0] = 0.0
+        assert schedule_group(parts, tt).feasible
+        assert calls.count("latest") == len(parts)
 
     def test_compression_never_changes_agent_arrivals_or_raises_durations(self):
         parts = two_agent_parts()

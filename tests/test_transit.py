@@ -67,6 +67,16 @@ class TestLoadNetwork:
         with pytest.raises(ReferentialError, match="X999"):
             load_network(write_csv(STOPS_4), write_csv(rows))
 
+    def test_unknown_stop_named_by_line_when_loaded_and_by_id_when_built(self):
+        timetable = write_csv(TIMETABLE_4[:2] + ["SA,RC,1,W,X999,60,10"])
+        with pytest.raises(ReferentialError) as loaded:
+            load_network(write_csv(STOPS_4), timetable)
+        assert str(loaded.value) == f"{timetable}:3: unknown stop 'X999'"
+        stops = load_stops(write_csv(STOPS_4))
+        for a, b in (("Q", "W"), ("W", "Q")):
+            with pytest.raises(ReferentialError, match="^unknown stop 'Q'$"):
+                make_network(stops, [TimetabledConnection("SQ", "RQ", 1, a, b, 60, 10)])
+
     def test_malformed_row_names_line(self):
         rows = TIMETABLE_4[:1] + ["SA,RA,not_an_int,W,X,60,10"]
         with pytest.raises(ParseError, match=":2"):
