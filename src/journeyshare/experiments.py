@@ -15,9 +15,12 @@ import math
 import random
 import statistics
 import time
+from array import array
+from bisect import bisect_right
+from collections.abc import Iterator, Sequence
 from dataclasses import asdict, dataclass, field, fields
+from itertools import accumulate
 from pathlib import Path
-from typing import Sequence
 
 from .best_response import JointPlan, agent_cost, run_br_phase
 from .config import EngineConfig
@@ -84,55 +87,114 @@ _DIRECTION_RULE = {
 }
 
 
+class PairTable(Sequence[tuple[str, str]]):
+    """The admissible (origin, destination) stop pairs of one direction, in
+    sorted order, with no tuple held per pair.
+
+    `stops` holds the network's stop ids in id order, and a stop is named by
+    its position there.  `origins` holds the origins that have a pair, in id
+    order, and `rows[i]` the destination positions of `origins[i]`, ascending.
+    `ends[i]` is the number of pairs in rows 0..i, so the k-th pair is found
+    by bisecting the ends, and `size` is the number of pairs.
+    """
+
+    __slots__ = ("stops", "origins", "rows", "ends", "size")
+
+    def __init__(self, stops: list[str], origins: Sequence[int], rows: list[array]):
+        self.stops = stops
+        self.origins = array("i", origins)
+        self.rows = rows
+        self.ends = array("q", accumulate(map(len, rows)))
+        self.size = self.ends[-1] if rows else 0
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, k: int) -> tuple[str, str]:
+        size = self.size
+        if k < 0:
+            k += size
+        if not 0 <= k < size:
+            raise IndexError("pair index out of range")
+        ends = self.ends
+        i = bisect_right(ends, k)
+        row = self.rows[i]
+        # row i holds pairs ends[i] - len(row) up to ends[i]
+        return self.stops[self.origins[i]], self.stops[row[k - ends[i] + len(row)]]
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        stops = self.stops
+        for origin, row in zip(self.origins, self.rows):
+            for dest in row:
+                yield stops[origin], stops[dest]
+
+
 def admissible_pairs(
     network: TransitNetwork, direction: str, min_km: float = 20.0, max_km: float = 160.0
-) -> list[tuple[str, str]]:
-    """All origin-destination stop pairs admissible for one travel direction.
+) -> PairTable:
+    """All origin-destination stop pairs admissible for one travel direction,
+    as a PairTable: one array of destination positions per origin, with no
+    tuple per pair.
 
     A pair whose latitude gap alone puts it beyond max_km is skipped without
     computing its distance.  The distance is haversine_km's expression,
     evaluated in the same order so that it is the same float, with each
-    stop's radians and latitude cosine taken once per call.  The stops stay
-    in id order, so the pairs come out nearly sorted; ordering the
-    destinations by latitude to cut the scan short would leave the final sort
-    more to do than the cut saves.
+    stop's radians and latitude cosine taken once per call.  The quadrant
+    lists keep the stops in id order, so each origin's row of destination
+    positions comes out ascending and only the origins need ordering.
     """
     if direction not in _DIRECTION_RULE:
         raise InputError(f"unknown direction {direction!r}")
     axes = quadrant_axes(network)
-    # per quadrant, each stop as (id, lat, lat radians, lon radians, cos of lat radians)
+    stops = sorted(network.stops.values(), key=lambda s: s.id)
+    # per quadrant, each stop as (position, lat, lat radians, lon radians, cos of lat radians)
     by_quadrant: dict[int, list] = {1: [], 2: [], 3: [], 4: []}
-    for stop in sorted(network.stops.values(), key=lambda s: s.id):
+    for position, stop in enumerate(stops):
         quadrant = quadrant_of(stop.lat, stop.lon, axes)
         if quadrant is not None:
             lat = math.radians(stop.lat)
-            by_quadrant[quadrant].append((stop.id, stop.lat, lat, math.radians(stop.lon), math.cos(lat)))
+            by_quadrant[quadrant].append((position, stop.lat, lat, math.radians(stop.lon), math.cos(lat)))
     window = latitude_window_deg(max_km)
     sin, asin, sqrt, diameter = math.sin, math.asin, math.sqrt, 2.0 * EARTH_RADIUS_KM
-    pairs: list[tuple[str, str]] = []
+    rows: dict[int, array] = {}
     for origin_q, dest_q in _DIRECTION_RULE[direction]:
         for origin, lat_deg, lat1, lon1, cos1 in by_quadrant[origin_q]:
-            for dest, dest_lat_deg, lat2, lon2, cos2 in by_quadrant[dest_q]:
-                if abs(dest_lat_deg - lat_deg) > window:
-                    continue
-                h = sin((lat2 - lat1) / 2.0) ** 2 + cos1 * cos2 * sin((lon2 - lon1) / 2.0) ** 2
-                if min_km <= diameter * asin(sqrt(h)) <= max_km:
-                    pairs.append((origin, dest))
-    pairs.sort()
-    return pairs
+            row = array(
+                "i",
+                [
+                    dest
+                    for dest, dest_lat_deg, lat2, lon2, cos2 in by_quadrant[dest_q]
+                    if abs(dest_lat_deg - lat_deg) <= window
+                    and min_km
+                    <= diameter * asin(sqrt(sin((lat2 - lat1) / 2.0) ** 2 + cos1 * cos2 * sin((lon2 - lon1) / 2.0) ** 2))
+                    <= max_km
+                ],
+            )
+            if row:
+                rows[origin] = row
+    origins = sorted(rows)
+    return PairTable([stop.id for stop in stops], origins, [rows[origin] for origin in origins])
 
 
 # the direction whose admissible pairs are a direction's own, turned round
 _REVERSE = {"NS": "SN", "SN": "NS", "WE": "EW", "EW": "WE"}
 
 
-def reversed_pairs(pairs: Sequence[tuple[str, str]]) -> list[tuple[str, str]]:
+def reversed_pairs(pairs: PairTable) -> PairTable:
     """admissible_pairs of the reverse direction, from one direction's.
 
     The reverse direction swaps the origin and destination quadrants, and
     haversine_km is symmetric, so every pair passes the same distance test.
+    So the table is transposed, not re-sorted: visiting the origins in id
+    order and appending each to its destinations' rows leaves every row
+    ascending.
     """
-    return sorted((dest, origin) for origin, dest in pairs)
+    rows = [array("i") for _ in pairs.stops]
+    for origin, row in zip(pairs.origins, pairs.rows):
+        for dest in row:
+            rows[dest].append(origin)
+    origins = [position for position, row in enumerate(rows) if row]
+    return PairTable(pairs.stops, origins, [rows[origin] for origin in origins])
 
 
 def sample_requests(pairs: Sequence[tuple[str, str]], n_agents: int, seed: int) -> list[AgentRequest]:

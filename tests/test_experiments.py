@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -179,7 +180,7 @@ class TestQuadrants:
         for direction, reverse in (("NS", "SN"), ("WE", "EW")):
             pairs = admissible_pairs(network, direction, 20, 160)
             assert pairs
-            assert reversed_pairs(pairs) == admissible_pairs(network, reverse, 20, 160)
+            assert list(reversed_pairs(pairs)) == list(admissible_pairs(network, reverse, 20, 160))
 
     def test_latitude_prune_matches_all_pairs_oracle_at_the_bounds(self):
         network = build_synthetic_network(SyntheticNetworkSpec(width=12, height=16, headway_min=600))
@@ -201,7 +202,7 @@ class TestQuadrants:
             bounds += [(d, d) for d in meridian]
             for min_km, max_km in bounds:
                 pairs = admissible_pairs(network, direction, min_km, max_km)
-                assert pairs == all_pairs_admissible(network, direction, min_km, max_km)
+                assert list(pairs) == all_pairs_admissible(network, direction, min_km, max_km)
                 measured = {km(pair) for pair in pairs}
                 assert min_km in measured and max_km in measured
 
@@ -217,12 +218,12 @@ class TestQuadrants:
             by_km.setdefault(haversine_km(*((stops[s].lat, stops[s].lon) for s in pair)), []).append(pair)
         for min_km, max_km in ((20.0, 160.0), (0.0, 40.0), (50.0, 400.0)):
             expected = sorted(pair for km, pairs in by_km.items() if min_km <= km <= max_km for pair in pairs)
-            assert expected and admissible_pairs(network, direction, min_km, max_km) == expected
+            assert expected and list(admissible_pairs(network, direction, min_km, max_km)) == expected
         # a window of one grid distance admits exactly the pairs haversine_km
         # puts on it, so a distance one rounding step off shows
         distances = sorted(by_km)
         for km in distances[:: len(distances) // 8]:
-            assert admissible_pairs(network, direction, km, km) == by_km[km]
+            assert list(admissible_pairs(network, direction, km, km)) == by_km[km]
 
     def test_all_stops_in_one_quadrant_is_an_error(self):
         rows = ["stop_id,name,lat,lon,mode"] + [
@@ -232,6 +233,56 @@ class TestQuadrants:
         net = load_network(write_csv(rows), timetable)
         with pytest.raises(ScenarioError):
             sample_requests(admissible_pairs(net, "NS", 0.0001, 160), 2, seed=1)
+
+
+# the dense workload's 20x40 grid at a headway that builds it cheaply; the
+# headway does not move the stops
+DENSE_STOPS = SyntheticNetworkSpec(width=20, height=40, headway_min=600)
+_REVERSE_OF = {"NS": "SN", "SN": "NS", "WE": "EW", "EW": "WE"}
+
+
+@pytest.fixture(scope="module")
+def pair_networks():
+    return {spec: build_synthetic_network(spec) for spec in (GRID, DEFAULT_SYNTH_SPEC, DENSE_STOPS)}
+
+
+class TestPairTable:
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    @pytest.mark.parametrize("spec", [GRID, DEFAULT_SYNTH_SPEC, DENSE_STOPS], ids=["grid", "default", "dense"])
+    def test_table_is_the_sorted_pair_list(self, pair_networks, spec, direction):
+        network = pair_networks[spec]
+        table = admissible_pairs(network, direction, 20, 160)
+        listed = all_pairs_admissible(network, direction, 20, 160)
+        assert listed and list(table) == listed
+        assert len(table) == len(listed)
+        assert [table[k] for k in range(len(listed))] == listed
+        assert table[-1] == listed[-1] and table[-len(listed)] == listed[0]
+        for k in (len(listed), len(listed) + 7, -len(listed) - 1):
+            with pytest.raises(IndexError):
+                table[k]
+        for seed in range(50):
+            for n in (2, 14):
+                assert sample_requests(table, n, seed) == sample_requests(listed, n, seed)
+        assert list(reversed_pairs(table)) == list(admissible_pairs(network, _REVERSE_OF[direction], 20, 160))
+
+    def test_empty_table(self, pair_networks):
+        table = admissible_pairs(pair_networks[GRID], "NS", 1000, 2000)
+        assert len(table) == 0 and list(table) == [] and list(reversed_pairs(table)) == []
+        with pytest.raises(IndexError):
+            table[0]
+
+    def test_pairs_and_their_reverse_hold_no_tuple_per_pair(self, pair_networks):
+        # 76,298 pairs each way: as tuples, the two directions trace about 10 MB
+        network = pair_networks[DENSE_STOPS]
+        tracemalloc.start()
+        try:
+            pairs = admissible_pairs(network, "WE")
+            reverse = reversed_pairs(pairs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(pairs) == len(reverse) == 76_298
+        assert peak < 2_000_000
 
 
 class TestGenerateRequests:
