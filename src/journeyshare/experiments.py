@@ -202,16 +202,17 @@ def sample_requests(pairs: Sequence[tuple[str, str]], n_agents: int, seed: int) 
     if not pairs:
         raise ScenarioError("no admissible origin-destination pairs for this scenario")
     rng = random.Random(seed)
+    size = len(pairs)
     requests = []
     for agent in range(1, n_agents + 1):
-        origin, dest = pairs[rng.randrange(len(pairs))]
+        origin, dest = pairs[rng.randrange(size)]
         requests.append(AgentRequest(agent=agent, origin=origin, destination=dest))
     return requests
 
 
 def prepare_network(network: TransitNetwork, config: EngineConfig = EngineConfig()) -> tuple[TransitNetwork, RelaxedGraph]:
-    """Add walking links, index departures per stop and build the relaxed
-    graph (do once per network)."""
+    """Add walking links, index departures per stop and next stop, and build
+    the relaxed graph (do once per network)."""
     prepared = add_walking_links(network, config.walk_max_km, config.walk_speed_kmh)
     prepared.stop_index  # build the cached index here, not in the first pipeline call
     return prepared, build_relaxed_graph(prepared)

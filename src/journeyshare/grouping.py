@@ -156,24 +156,25 @@ def relevant_timetable(parts: list[Part], network: TransitNetwork) -> TransitNet
     two stops of one part in travel direction, plus walking links between
     consecutive part stops, connections in (service_id, run_id, seq) order.
 
-    Reads the network's per-stop index, so the cost is the number of
-    departures from the parts' stops, not parts times network size.
+    Reads the network's index per stop and next stop, as the part search
+    does, so the cost is the number of departures that stay on a part, not
+    parts times network size.
     """
     stop_index = network.stop_index
     connections: list[TimetabledConnection] = []
     seen: set[tuple[str, int]] = set()
     walks: set[WalkingLink] = set()
     for part in parts:
-        index = {stop: i for i, stop in enumerate(part.stops)}
-        for stop, i in index.items():
-            for conn in stop_index.departures.get(stop, ()):
-                j = index.get(conn.to_stop)
-                if j is None or i >= j:
+        position = {stop: i for i, stop in enumerate(part.stops)}
+        for stop, i in position.items():
+            for succ, conns in stop_index.departures.get(stop, {}).items():
+                if position.get(succ, -1) <= i:
                     continue
-                key = (conn.run_id, conn.seq)
-                if key not in seen:
-                    seen.add(key)
-                    connections.append(conn)
+                for conn in conns:
+                    key = (conn.run_id, conn.seq)
+                    if key not in seen:
+                        seen.add(key)
+                        connections.append(conn)
         for pair in zip(part.stops, part.stops[1:]):
             walks.update(stop_index.walks.get(pair, ()))
 

@@ -16,6 +16,7 @@ searches, before each one in both passes, never inside a search.
 
 from __future__ import annotations
 
+import heapq
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -23,6 +24,7 @@ from typing import Mapping
 
 from .config import EngineConfig
 from .errors import ConsistencyError, InputError
+# relevant_timetable is not called here; perfbench wraps scheduling.relevant_timetable by name
 from .grouping import Part, part_precedence, relevant_timetable
 from .planning import AgentId, Plan
 from .transit import DAY_MINUTES, TransitNetwork
@@ -115,21 +117,33 @@ class _PartSolver:
     both in the network's stop-index order; departure and run_id are None
     for walks, which start any time.  Among equally good moves both searches
     keep the first, but only the latest-departure search picks legs.
+
+    The moves are read off tt's stop index per next stop, and only the next
+    stops later on the part are read, so tt may be the whole network or any
+    slice of it that holds the part's legs.  A stop with departures to two or
+    more later part stops (express legs) has them merged on the index key.
     """
 
     def __init__(self, part: Part, tt: TransitNetwork):
         self.part = part
         self.size = len(part.stops)
-        index = {stop: i for i, stop in enumerate(part.stops)}
+        position = {stop: i for i, stop in enumerate(part.stops)}
         stop_index = tt.stop_index
         self.moves: list[list[tuple[int, int | None, int, str | None]]] = []
         for i, stop in enumerate(part.stops[:-1]):
             walks = stop_index.walks.get((stop, part.stops[i + 1]), ())
             moves = [(i + 1, None, link.duration, None) for link in walks]
-            for conn in stop_index.departures.get(stop, ()):
-                j = index.get(conn.to_stop, -1)
+            ahead = []
+            for succ, conns in stop_index.departures.get(stop, {}).items():
+                j = position.get(succ, -1)
                 if j > i:
-                    moves.append((j, conn.departure, conn.duration, conn.run_id))
+                    ahead.append((j, conns))
+            if len(ahead) == 1:
+                j, conns = ahead[0]
+                moves += [(j, c.departure, c.duration, c.run_id) for c in conns]
+            elif ahead:
+                keyed = [[(c.departure, c.duration, c.run_id, c.seq, j) for c in conns] for j, conns in ahead]
+                moves += [(j, departure, duration, run_id) for departure, duration, run_id, _, j in heapq.merge(*keyed)]
             self.moves.append(moves)
 
     def earliest_arrival(self, ready_time: int) -> int | None:
@@ -203,6 +217,9 @@ def schedule_group(
     exactly then, so every successor's ready time holds.  A search that
     finds nothing anyway raises ConsistencyError.
 
+    tt may be any network that holds the parts' legs: the prepared network,
+    or a slice of it such as relevant_timetable cuts.
+
     The clock is read once, at the start: before each part's search in
     either pass, a group whose time_limit_s has run out is given up as timed
     out.  None sets no limit.
@@ -267,9 +284,10 @@ def plan_as_single_part(plan: Plan) -> Part:
 def schedule_single_agent(
     plan: Plan, network: TransitNetwork, time_limit_s: float | None = None
 ) -> ScheduleResult:
-    """Timetable one traveller's plan in isolation (the prolongation baseline)."""
-    part = plan_as_single_part(plan)
-    return schedule_group([part], relevant_timetable([part], network), time_limit_s)
+    """Timetable one traveller's plan in isolation (the prolongation baseline),
+    on the network itself: the part search reads only the legs that stay on
+    the plan, so no slice is cut."""
+    return schedule_group([plan_as_single_part(plan)], network, time_limit_s)
 
 
 def time_limit_for(group_size: int, config: EngineConfig = EngineConfig()) -> float:

@@ -97,11 +97,16 @@ class WalkingLink:
 
 @dataclass(frozen=True)
 class StopIndex:
-    """Timetabled connections grouped by from_stop, each stop's departures in
-    (departure, duration, run_id, seq) order; walking links grouped by stop
-    pair, shortest first."""
+    """Timetabled connections grouped by from_stop and then by to_stop, each
+    stop pair's departures in (departure, duration, run_id, seq) order;
+    walking links grouped by stop pair, shortest first.
 
-    departures: Mapping[str, tuple[TimetabledConnection, ...]]
+    A search that may only move to some next stops reads just their
+    departures; merging those on the same key gives the stop's departures to
+    them in that order.
+    """
+
+    departures: Mapping[str, Mapping[str, tuple[TimetabledConnection, ...]]]
     walks: Mapping[tuple[str, str], tuple[WalkingLink, ...]]
 
 
@@ -119,21 +124,25 @@ class TransitNetwork:
 
     @cached_property
     def stop_index(self) -> StopIndex:
-        """Departures and walking links per stop, built on first use.
+        """Departures per stop and next stop, and walking links per stop
+        pair, built on first use.
 
         The index references the network's own connection and link objects,
         ordered as StopIndex says (exact ties keep network order); scheduling
         keeps the first of equally good moves in this order.
         """
-        departures: dict[str, list[TimetabledConnection]] = {}
+        departures: dict[str, dict[str, list[TimetabledConnection]]] = {}
         for conn in self.connections:
-            departures.setdefault(conn.from_stop, []).append(conn)
+            departures.setdefault(conn.from_stop, {}).setdefault(conn.to_stop, []).append(conn)
         walks: dict[tuple[str, str], list[WalkingLink]] = {}
         for link in self.walking_links:
             walks.setdefault((link.from_stop, link.to_stop), []).append(link)
         by_time = attrgetter("departure", "duration", "run_id", "seq")
         return StopIndex(
-            departures={stop: tuple(sorted(conns, key=by_time)) for stop, conns in departures.items()},
+            departures={
+                stop: {succ: tuple(sorted(conns, key=by_time)) for succ, conns in to_stops.items()}
+                for stop, to_stops in departures.items()
+            },
             walks={pair: tuple(sorted(links, key=attrgetter("duration"))) for pair, links in walks.items()},
         )
 

@@ -5,8 +5,11 @@ import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
-from journeyshare.transit import RelaxedGraph
+from journeyshare.grouping import Part
+from journeyshare.synth import SyntheticNetworkSpec, build_synthetic_network, stop_id
+from journeyshare.transit import RelaxedGraph, add_walking_links
 
 
 @functools.cache
@@ -71,3 +74,35 @@ def six_stop_graph(six_stop_network):
     from journeyshare.transit import build_relaxed_graph
 
     return build_relaxed_graph(six_stop_network)
+
+
+# 0.3 km spacing puts grid neighbours and diagonals within the 0.5 km walking
+# range, so slices and part searches on it meet walking links as well as connections
+WALK_GRID = SyntheticNetworkSpec(width=4, height=5, spacing_km=0.3, headway_min=120, leg_min=10)
+WALK_NETWORK = add_walking_links(build_synthetic_network(WALK_GRID), max_distance_km=0.5)
+
+
+@st.composite
+def grid_walk_parts(draw):
+    """One to three parts, each a self-avoiding walk over grid neighbours
+    and diagonals."""
+    parts = []
+    for pid in range(draw(st.integers(1, 3))):
+        cell = (draw(st.integers(0, WALK_GRID.width - 1)), draw(st.integers(0, WALK_GRID.height - 1)))
+        path = [cell]
+        for _ in range(draw(st.integers(1, 6))):
+            col, row = path[-1]
+            steps = [
+                (col + dc, row + dr)
+                for dc in (-1, 0, 1)
+                for dr in (-1, 0, 1)
+                if 0 <= col + dc < WALK_GRID.width
+                and 0 <= row + dr < WALK_GRID.height
+                and (col + dc, row + dr) not in path
+            ]
+            if not steps:
+                break
+            path.append(draw(st.sampled_from(steps)))
+        stops = tuple(stop_id(col, row) for col, row in path)
+        parts.append(Part(id=pid, agents=frozenset({pid}), stops=stops, prev={pid: None}, next={pid: None}))
+    return parts

@@ -413,6 +413,24 @@ class TestRunPipeline:
         # some travellers are in unmatched groups, so this is not everyone
         assert matched < sum(group.size for group in groups)
 
+    def test_slices_once_per_group_not_per_traveller(self, monkeypatch, grid_network):
+        from journeyshare import experiments, scheduling
+
+        calls = []
+        for module in (experiments, scheduling):
+            original = module.relevant_timetable
+            monkeypatch.setattr(
+                module,
+                "relevant_timetable",
+                lambda parts, network, original=original: calls.append(parts) or original(parts, network),
+            )
+        # two travellers share line 2 and a third rides line 5 alone
+        requests = [AgentRequest(1, "S0207", "S0200"), AgentRequest(2, "S0206", "S0201"), AgentRequest(3, "S0500", "S0507")]
+        artifacts = run_pipeline(grid_network, requests)
+        assert [(g.size, g.matched) for g in artifacts.result.groups] == [(2, True), (1, True)]
+        # the three solo baselines are timetabled on the network itself
+        assert calls == [artifacts.parts[g.id] for g in artifacts.groups]
+
     def test_duplicate_agent_ids_rejected(self, grid_network):
         requests = [AgentRequest(1, "S0105", "S0100"), AgentRequest(1, "S0104", "S0101")]
         with pytest.raises(InputError, match="duplicate agent id 1"):

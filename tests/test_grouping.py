@@ -2,23 +2,16 @@ import random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from journeyshare.best_response import merge_plans
 from journeyshare.errors import ConsistencyError
-from journeyshare.grouping import (
-    Part,
-    identify_groups,
-    part_precedence,
-    relevant_timetable,
-    split_into_parts,
-)
+from journeyshare.grouping import identify_groups, part_precedence, relevant_timetable, split_into_parts
 from journeyshare.planning import AgentRequest, Plan, plan_individual
 from journeyshare.scheduling import schedule_group
-from journeyshare.synth import SyntheticNetworkSpec, build_synthetic_network, stop_id
-from journeyshare.transit import add_walking_links, load_network
+from journeyshare.synth import SyntheticNetworkSpec, build_synthetic_network
+from journeyshare.transit import load_network
 
-from conftest import graph_of, write_csv
+from conftest import WALK_NETWORK, graph_of, grid_walk_parts, write_csv
 from oracle_utils import UnionFind, brute_force_relevant_timetable, random_digraph
 
 
@@ -234,38 +227,6 @@ class TestRelevantTimetable:
         parts = split_into_parts(identify_groups(merge_plans([p1, p2]))[0])
         tt = relevant_timetable(parts, net)
         assert 0 < len(tt.connections) < 0.10 * len(net.connections)
-
-
-# 0.3 km spacing puts grid neighbours and diagonals within the 0.5 km walking
-# range, so the slices below carry walking links as well as connections
-WALK_GRID = SyntheticNetworkSpec(width=4, height=5, spacing_km=0.3, headway_min=120, leg_min=10)
-WALK_NETWORK = add_walking_links(build_synthetic_network(WALK_GRID), max_distance_km=0.5)
-
-
-@st.composite
-def grid_walk_parts(draw):
-    """One to three parts, each a self-avoiding walk over grid neighbours
-    and diagonals."""
-    parts = []
-    for pid in range(draw(st.integers(1, 3))):
-        cell = (draw(st.integers(0, WALK_GRID.width - 1)), draw(st.integers(0, WALK_GRID.height - 1)))
-        path = [cell]
-        for _ in range(draw(st.integers(1, 6))):
-            col, row = path[-1]
-            steps = [
-                (col + dc, row + dr)
-                for dc in (-1, 0, 1)
-                for dr in (-1, 0, 1)
-                if 0 <= col + dc < WALK_GRID.width
-                and 0 <= row + dr < WALK_GRID.height
-                and (col + dc, row + dr) not in path
-            ]
-            if not steps:
-                break
-            path.append(draw(st.sampled_from(steps)))
-        stops = tuple(stop_id(col, row) for col, row in path)
-        parts.append(Part(id=pid, agents=frozenset({pid}), stops=stops, prev={pid: None}, next={pid: None}))
-    return parts
 
 
 class TestRelevantTimetableOracle:

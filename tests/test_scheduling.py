@@ -1,6 +1,9 @@
 import random
+from operator import attrgetter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from journeyshare.best_response import merge_plans
 from journeyshare.config import EngineConfig
@@ -16,9 +19,17 @@ from journeyshare.scheduling import (
     schedule_single_agent,
     time_limit_for,
 )
-from journeyshare.transit import DAY_MINUTES, TimetabledConnection, TransitNetwork, WalkingLink, load_network
+from journeyshare.transit import (
+    DAY_MINUTES,
+    Stop,
+    TimetabledConnection,
+    TransitNetwork,
+    WalkingLink,
+    load_network,
+    make_network,
+)
 
-from conftest import write_csv
+from conftest import WALK_NETWORK, grid_walk_parts, write_csv
 from oracle_utils import oracle_agent_durations, oracle_schedule
 
 
@@ -508,6 +519,77 @@ class TestScheduleSingleAgent:
             else:
                 assert result.feasible
                 assert result.itineraries[plan.agent].duration == oracle[1]
+
+
+# a corridor C..G and one more stop X; runs may skip stops, run backwards or
+# leave the corridor, so a part stop often has departures to several later
+# part stops as well as to stops behind or off the part
+CORRIDOR_NAMES = ("C", "D", "E", "F", "G", "X")
+
+
+@st.composite
+def corridor_networks(draw):
+    """A network over CORRIDOR_NAMES with one to twelve runs of one to three
+    legs and up to four walking links, departures packed into a narrow
+    window so that same-minute ties are common."""
+    stops = {name: Stop(name, f"Stop {name}", 55 + 0.1 * i, -3.0, "rail") for i, name in enumerate(CORRIDOR_NAMES)}
+    connections = []
+    for r in range(draw(st.integers(1, 12))):
+        visits = draw(st.lists(st.sampled_from(CORRIDOR_NAMES), min_size=2, max_size=4, unique=True))
+        t = draw(st.integers(0, 30))
+        for seq, (a, b) in enumerate(zip(visits, visits[1:]), start=1):
+            duration = draw(st.integers(1, 20))
+            connections.append(TimetabledConnection(f"S{r % 3}", f"R{r}", seq, a, b, t, duration))
+            t += duration + draw(st.integers(0, 3))
+    pairs = st.lists(st.sampled_from(CORRIDOR_NAMES), min_size=2, max_size=2, unique=True)
+    walks = frozenset(WalkingLink(a, b, draw(st.integers(1, 30))) for a, b in draw(st.lists(pairs, max_size=4)))
+    return TransitNetwork(stops, make_network(stops, connections).connections, walks)
+
+
+def scanned_moves(part, network):
+    """Each part stop's moves by a scan of the whole network: walks to the
+    next part stop shortest first, then every departure to a later part stop
+    by (departure, duration, run_id, seq), ties in network order."""
+    position = {stop: i for i, stop in enumerate(part.stops)}
+    by_time = attrgetter("departure", "duration", "run_id", "seq")
+    moves = []
+    for i, stop in enumerate(part.stops[:-1]):
+        pair = (stop, part.stops[i + 1])
+        walks = sorted(link.duration for link in network.walking_links if (link.from_stop, link.to_stop) == pair)
+        ahead = [c for c in network.connections if c.from_stop == stop and position.get(c.to_stop, -1) > i]
+        moves.append(
+            [(i + 1, None, duration, None) for duration in walks]
+            + [(position[c.to_stop], c.departure, c.duration, c.run_id) for c in sorted(ahead, key=by_time)]
+        )
+    return moves
+
+
+class TestPartSolverMoves:
+    """The part search reads each stop's departures per next stop; merged,
+    they must be the moves a scan of every departure of the stop gives, and a
+    solo baseline on the whole network must be the one on its slice."""
+
+    @staticmethod
+    def check(stops, network):
+        plan = path_plan(1, stops)
+        part = plan_as_single_part(plan)
+        assert _PartSolver(part, network).moves == scanned_moves(part, network)
+        sliced = schedule_group([part], relevant_timetable([part], network))
+        assert schedule_single_agent(plan, network) == sliced
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        network=corridor_networks(),
+        stops=st.lists(st.sampled_from(CORRIDOR_NAMES), min_size=2, max_size=len(CORRIDOR_NAMES), unique=True),
+    )
+    def test_corridors_with_express_legs(self, network, stops):
+        self.check(tuple(stops), network)
+
+    @settings(max_examples=100, deadline=None)
+    @given(parts=grid_walk_parts())
+    def test_walking_grid(self, parts):
+        for part in parts:
+            self.check(part.stops, WALK_NETWORK)
 
 
 class TestTimeLimits:

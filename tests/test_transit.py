@@ -1,7 +1,9 @@
 import dataclasses
+import heapq
 import math
 import pickle
 import random
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
@@ -216,7 +218,8 @@ class TestLoadNetwork:
 
 class TestStopIndex:
     def test_departures_by_time_and_walks_shortest_first(self):
-        # network order is by service; the index orders by (departure, duration, run_id, seq)
+        # network order is by service; the index groups by next stop and
+        # orders each pair's departures by (departure, duration, run_id, seq)
         connections = (
             TimetabledConnection("SA", "Z9", 1, "W", "X", 100, 30),
             TimetabledConnection("SB", "A1", 1, "W", "Y", 90, 50),
@@ -225,7 +228,12 @@ class TestStopIndex:
         )
         walks = frozenset({WalkingLink("W", "X", 9), WalkingLink("W", "X", 4), WalkingLink("X", "W", 4)})
         index = TransitNetwork({}, connections, walks).stop_index
-        assert [c.run_id for c in index.departures["W"]] == ["A1", "R1", "R0", "Z9"]
+        by_next = {succ: [c.run_id for c in conns] for succ, conns in index.departures["W"].items()}
+        assert by_next == {"X": ["R1", "R0", "Z9"], "Y": ["A1"]}
+        # merged on the same key, the next stops give the stop's departures in time order
+        by_time = attrgetter("departure", "duration", "run_id", "seq")
+        merged = heapq.merge(*index.departures["W"].values(), key=by_time)
+        assert [c.run_id for c in merged] == ["A1", "R1", "R0", "Z9"]
         assert [link.duration for link in index.walks[("W", "X")]] == [4, 9]
         assert "X" not in index.departures
 
