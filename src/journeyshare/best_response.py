@@ -130,7 +130,10 @@ def run_br_phase(
     the crowd is the same, the search would return the same plan at the same
     cost, and the adoption test would fail again.  The current plan's legs
     leave nodes that search expanded, since A* expands every node of a plan
-    no dearer than its result, so their counts are covered too.
+    no dearer than its result, so their counts are covered too.  The guide,
+    and so which nodes a search expands, depends on how far the
+    destination's reverse tree has grown, but the plan it returns does not,
+    so the rule holds even if the tree grows between two searches.
 
     on_step gets a snapshot of the joint plan after every step.
     """

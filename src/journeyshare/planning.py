@@ -3,11 +3,13 @@
 plan_individual returns a cost-optimal simple path, pricing each edge at its
 shared_cost among the travellers riding it.  Solo routes have no riders, so
 every edge costs its base cost: they are read off the graph's reverse
-shortest-path tree towards the destination without a search.  Best-response
-replanning passes an Occupancy, integer rider counts per edge slot, and runs
-an A* search (Hart, Nilsson & Raphael, 1968) guided by the base-cost distance
-to the destination times the least share of its base cost any edge can cost,
-which the largest count fixes: an admissible, consistent heuristic.
+shortest-path tree towards the destination, grown only until the origin is
+settled, without a forward search.  Best-response replanning passes an
+Occupancy, integer rider counts per edge slot, and runs an A* search (Hart,
+Nilsson & Raphael, 1968) guided by a lower bound on the base-cost distance
+to the destination, read off that tree as far as it has grown and never
+growing it, times the least share of its base cost any edge can cost, which
+the largest count fixes: an admissible, consistent heuristic.
 """
 
 from __future__ import annotations
@@ -137,15 +139,25 @@ def plan_individual(
     costs shared_cost of its base cost (its minimal duration in minutes) in a
     group of k + 1, so its base cost without occupancy.  Ties are broken
     towards fewer legs, then the lexicographically smallest stop sequence, so
-    results are reproducible.  Returns None, without searching, when the
-    destination is unreachable.  Without occupancy the route is read off
-    graph.tree_to(destination), which breaks ties the same way, and nothing
-    is searched.  With it, the crowd fixes the floor: the least share of its
-    base cost any edge can cost.  The A* search is guided by just under the
-    floor times the base-cost distance to the destination, and appends to
+    results are reproducible.
+
+    Without occupancy the destination's tree (graph.tree_to) grows until the
+    origin is settled, and the route is read off its next hops, which break
+    ties the same way; nothing else is searched, and an unreachable
+    destination returns None.
+
+    With occupancy the tree is read as it stands and never grown.  The crowd
+    fixes the floor: the least share of its base cost any edge can cost.
+    The A* search is guided by just under the floor times a lower bound on
+    the base-cost distance to the destination: a settled node's distance, or
+    the tree's radius for an unsettled one, which is no more than that
+    node's distance and no less than any settled one, so the guide stays
+    consistent.  An origin the tree already knows to be unreachable returns
+    None without a search.  The search returns the same tie-broken optimum
+    whatever the guide, so however far the tree has grown.  It appends to
     expanded, if given, the position of every node whose out-edges it
     priced: with the same crowd and the same counts on those out-edges, a
-    search for the same request repeats itself exactly.
+    search for the same request returns the same plan.
     """
     if request.origin not in graph.nodes:
         raise InputError(f"unknown origin stop {request.origin!r}")
@@ -153,13 +165,16 @@ def plan_individual(
         raise InputError(f"unknown destination stop {request.destination!r}")
     agent, names, position, out_edges = request.agent, graph.names, graph.positions, graph.out_edges
     origin, destination = position[request.origin], position[request.destination]
-    distance, next_hop = graph.tree_to(request.destination)
+    tree = graph.tree_to(request.destination)
+    if occupancy is None:
+        tree.settle(origin)
+    distance, radius = tree.distance, tree.radius
     if distance[origin] == UNREACHABLE:
         return None
     if occupancy is None:
         # each edge costs shared_cost(base, 1), which is float(base), summed
         # from the origin as the search sums it
-        edges, stops, cost, node = graph.edges, [request.origin], 0.0, origin
+        edges, next_hop, stops, cost, node = graph.edges, tree.next_hop, [request.origin], 0.0, origin
         while node != destination:
             node = next_hop[node]
             stops.append(names[node])
@@ -183,7 +198,8 @@ def plan_individual(
     # not pushed.
     best = [math.inf] * len(names)
     heappush, heappop = heapq.heappush, heapq.heappop
-    heap = [(guide * distance[origin], 0.0, 0, (), origin)]
+    # the origin's label pops first whatever its estimate
+    heap = [(0.0, 0.0, 0, (), origin)]
     while heap:
         _, cost, hops, parent, node = heappop(heap)
         if cost > best[node]:
@@ -201,8 +217,10 @@ def plan_individual(
             if g > best[succ]:
                 continue
             remaining = distance[succ]
-            if remaining == UNREACHABLE:
-                continue
+            if remaining < 0:
+                if remaining == UNREACHABLE:
+                    continue
+                remaining = radius
             best[succ] = g
             heappush(heap, (g + guide * remaining, g, hops, path, succ))
     return None

@@ -19,7 +19,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .config import EngineConfig
@@ -188,16 +188,19 @@ class _PartSolver:
                     choice[i] = (j, run_id, board, board + duration)
         if latest[0] <= -_UNREACHED:
             return None
-        stops = self.part.stops
+        stops, last = self.part.stops, self.size - 1
         legs: list[LegAssignment] = []
         i = 0
-        while i < self.size - 1:
+        while i < last:
             j, run_id, board, alight = choice[i]
-            if run_id is not None and legs and legs[-1].run_id == run_id:
-                legs[-1] = replace(legs[-1], to_stop=stops[j], alight=alight)
+            if run_id is None:
+                mode = MODE_WALK
             else:
-                mode = MODE_WALK if run_id is None else MODE_SERVICE
-                legs.append(LegAssignment(stops[i], stops[j], mode, run_id, board, alight))
+                mode = MODE_SERVICE
+                # ride on to the boarding's last hop on this run
+                while j < last and choice[j][1] == run_id:
+                    j, _, _, alight = choice[j]
+            legs.append(LegAssignment(stops[i], stops[j], mode, run_id, board, alight))
             i = j
         return legs
 

@@ -25,8 +25,13 @@ from .errors import JourneyShareError, ParseError, ReferentialError, ValidationE
 
 EARTH_RADIUS_KM = 6371.0
 DAY_MINUTES = 1440
-# RelaxedGraph.tree_to's entry for a node with no path to the destination
+# a ReverseTree's entry for a node with no path to the destination (once its
+# search is exhausted), and for a node its search has not settled yet
 UNREACHABLE = -1
+UNSETTLED = -2
+# a ReverseTree's tentative key for a settled node: below every key, so no
+# candidate replaces it
+_SETTLED = -1
 
 MODES = ("rail", "coach", "walk-node")
 
@@ -197,61 +202,112 @@ class RelaxedGraph:
 
     @cached_property
     def _in_edges(self) -> list[list[tuple[int, int]]]:
-        """Per node position, the (predecessor position, base cost) of its in-edges."""
+        """Per node position, the (predecessor position, weight) of its
+        in-edges.  The weight, ((base cost * n + 1) * n + predecessor) * n
+        for n nodes, is what the edge adds to a ReverseTree key whose node
+        and next-hop fields are zero: its base cost to the distance, one hop,
+        and the predecessor as the node."""
+        n = len(self.names)
         in_edges: list[list[tuple[int, int]]] = [[] for _ in self.names]
         for node, out in enumerate(self.out_edges):
             for succ, base, _ in out:
-                in_edges[succ].append((node, base))
+                in_edges[succ].append((node, ((base * n + 1) * n + node) * n))
         return in_edges
 
     @cached_property
-    def _trees(self) -> dict[str, tuple[array, array]]:
+    def _trees(self) -> dict[str, ReverseTree]:
         return {}
 
-    def tree_to(self, destination: str) -> tuple[array, array]:
-        """The reverse shortest-path tree towards destination, as two arrays
-        indexed by positions: each node's base-cost distance to destination
-        (floats, UNREACHABLE where there is no path) and its next hop, the
-        position of its lowest-numbered successor on a path of least cost
-        and, among those, fewest legs (UNREACHABLE at destination and where
-        there is no path).
-
-        Computed on first request by a reverse Dijkstra search over exact
-        integer (distance, hops) keys and kept for the life of the graph.
-        Following next hops from a node walks its lexicographically smallest
-        stop sequence among the (cost, hops)-optimal paths, because every
-        such path continues on an optimal path of its next node.  The
-        distances are floats, exact for the integer sums of realistic
-        durations, so that no duration the timetable accepts overflows the
-        array.
-        """
+    def tree_to(self, destination: str) -> ReverseTree:
+        """The reverse shortest-path tree towards destination, created on
+        first request with only the destination settled, and kept for the
+        life of the graph; it grows as its settle calls ask."""
         tree = self._trees.get(destination)
-        if tree is not None:
-            return tree
-        in_edges = self._in_edges
-        n = len(self.names)
-        best: list[float] = [math.inf] * n
-        hops = [0] * n
-        next_hop = array("i", [UNREACHABLE]) * n
-        start = self.positions[destination]
-        best[start] = 0
-        heap = [(0, 0, start)]
-        while heap:
-            d, h, node = heapq.heappop(heap)
-            if d != best[node] or h != hops[node]:
-                continue
-            h += 1
-            for pred, base in in_edges[node]:
-                candidate = d + base
-                known = best[pred]
-                if candidate < known or (candidate == known and h < hops[pred]):
-                    best[pred], hops[pred], next_hop[pred] = candidate, h, node
-                    heapq.heappush(heap, (candidate, h, pred))
-                elif candidate == known and h == hops[pred] and node < next_hop[pred]:
-                    next_hop[pred] = node
-        distance = array("d", [UNREACHABLE if d == math.inf else d for d in best])
-        tree = self._trees[destination] = (distance, next_hop)
+        if tree is None:
+            tree = self._trees[destination] = ReverseTree(self._in_edges, self.positions[destination])
         return tree
+
+
+class ReverseTree:
+    """A reverse shortest-path tree towards one destination, grown on demand.
+
+    distance and next_hop are arrays indexed by node position.  A settled
+    node has its base-cost distance to the destination (a float, exact for
+    the integer sums of realistic durations, so that no duration the
+    timetable accepts overflows the array) and its next hop: its
+    lowest-numbered successor on a path of least cost and, among those,
+    fewest legs (UNREACHABLE at the destination).  Every other node has
+    UNSETTLED in both, until the search is exhausted and it becomes
+    UNREACHABLE.  radius is the distance last settled: no settled node is
+    farther, and no unsettled node is nearer.
+
+    settle(node) resumes a reverse Dijkstra search until node is settled, as
+    Reverse Resumable A* does (Silver, "Cooperative Pathfinding", AIIDE
+    2005).  Each heap entry is one exact integer key, ((distance * n + hops)
+    * n + node) * n + next hop for n nodes, so one comparison orders two
+    ways to reach a node by (distance, hops, next hop).  Following next hops
+    walks a node's lexicographically smallest stop sequence among its
+    (cost, hops)-optimal paths, since each continues on an optimal path of
+    its next node.  That node's key is smaller, as base costs are positive,
+    so it settles first: a node's path can be read off once it is settled.
+
+    The search state, a heap and a tentative key per node (_SETTLED once
+    settled, so that no key is held for it), is dropped once the search is
+    exhausted.
+    """
+
+    __slots__ = ("distance", "next_hop", "radius", "_in_edges", "_heap", "_key")
+
+    def __init__(self, in_edges: list[list[tuple[int, int]]], destination: int) -> None:
+        n = len(in_edges)
+        self.distance = array("d", [UNSETTLED]) * n
+        self.next_hop = array("i", [UNSETTLED]) * n
+        self.distance[destination] = 0
+        self.next_hop[destination] = UNREACHABLE
+        self.radius = 0.0
+        self._in_edges = in_edges
+        # the destination is settled; its in-neighbours' keys, sorted, are a heap
+        key: list[int | float] = [math.inf] * n
+        key[destination] = _SETTLED
+        for pred, weight in in_edges[destination]:
+            key[pred] = weight + destination
+        self._key = key
+        self._heap = sorted(key[pred] for pred, _ in in_edges[destination])
+
+    def settle(self, target: int) -> None:
+        """Grow the tree until target is settled or the search is exhausted."""
+        distance = self.distance
+        if distance[target] != UNSETTLED:
+            return
+        heap, key, in_edges, next_hop = self._heap, self._key, self._in_edges, self.next_hop
+        n = len(in_edges)
+        nn = n * n
+        nnn = nn * n
+        heappop, heappush = heapq.heappop, heapq.heappush
+        while heap:
+            k = heappop(heap)
+            rest = k % nn
+            node = rest // n
+            if key[node] != k:
+                continue
+            key[node] = _SETTLED
+            distance[node] = k // nnn
+            next_hop[node] = rest % n
+            # k with its node and next-hop fields zeroed
+            base = k - rest
+            for pred, weight in in_edges[node]:
+                candidate = base + weight + node
+                if candidate < key[pred]:
+                    key[pred] = candidate
+                    heappush(heap, candidate)
+            if node == target:
+                self.radius = distance[node]
+                return
+        for node, d in enumerate(distance):
+            if d == UNSETTLED:
+                distance[node] = next_hop[node] = UNREACHABLE
+        self.radius = max(distance)
+        self._heap = self._key = None
 
 
 def haversine_km(a: tuple[float, float], b: tuple[float, float]) -> float:

@@ -10,8 +10,8 @@ from journeyshare import planning
 from journeyshare.errors import InputError
 from journeyshare.experiments import DEFAULT_SYNTH_SPEC, prepare_network
 from journeyshare.planning import DISCOUNT_SHARE, FLOOR_SHARE, AgentRequest, Occupancy, plan_individual
-from journeyshare.synth import build_synthetic_network
-from journeyshare.transit import UNREACHABLE
+from journeyshare.synth import SyntheticNetworkSpec, build_synthetic_network
+from journeyshare.transit import UNREACHABLE, UNSETTLED, RelaxedGraph
 
 from conftest import graph_of
 from oracle_utils import brute_force_best_path, occupancy_cost, random_digraph, uniform_cost_plan
@@ -129,6 +129,15 @@ def occupancy_searches(draw):
     return graph, AgentRequest(agent, route[0], route[-1]), riders, n_agents
 
 
+def grown_tree(graph, destination):
+    """graph.tree_to(destination), grown until every node is settled, so
+    that its search is exhausted if some node cannot reach destination."""
+    tree = graph.tree_to(destination)
+    for node in range(len(graph.names)):
+        tree.settle(node)
+    return tree
+
+
 def rider_oracle(graph, request, riders):
     """uniform_cost_plan under the occupancy costs the riders impose."""
     return uniform_cost_plan(graph, request, occupancy_cost(SimpleNamespace(edges=riders), request.agent, graph))
@@ -144,7 +153,10 @@ def occupancy_of(graph, riders, agent):
 
 
 def counted_plan(graph, request, riders):
-    """plan_individual under the counts of the rider labels."""
+    """plan_individual under the counts of the rider labels, once the solo
+    route has grown the destination's tree until the origin is settled, as
+    it has in every best-response search of a batch."""
+    plan_individual(graph, request)
     return plan_individual(graph, request, occupancy_of(graph, riders, request.agent))
 
 
@@ -165,6 +177,8 @@ class TestGoalDirected:
         n_agents = 5
         riders = {edge: frozenset(range(1, n_agents + 1)) for edge in graph.edges}
         request = AgentRequest(1, "A", "E")
+        # every node settled, so each is guided by its own distance
+        grown_tree(graph, "E")
         plan = counted_plan(graph, request, riders)
         assert plan == rider_oracle(graph, request, riders)
         assert plan.stops() == ("A", "B", "D", "E")
@@ -176,7 +190,7 @@ class TestGoalDirected:
     def test_unreachable_origin_returns_none_without_searching(self, monkeypatch):
         graph = graph_of({("A", "B"): 5, ("B", "C"): 5, ("Z", "Y"): 1})
         occupancy = occupancy_of(graph, {("Z", "Y"): {2}}, 1)
-        graph.tree_to("C")
+        grown_tree(graph, "C")
 
         def no_search(*args):
             raise AssertionError("an unreachable destination was searched for")
@@ -189,9 +203,12 @@ class TestGoalDirected:
     def test_crowd_counts_the_traveller_on_an_edge_it_is_not_on(self):
         # three others on B-D make a group of four with the traveller, so
         # B-D costs 0.4 of its base cost; a guide from a group of three
-        # would overestimate at B and settle D by the direct edge first
+        # would overestimate at B and settle D by the direct edge first; B is
+        # farther from D than A is, so its distance is settled only in a
+        # grown tree
         graph = graph_of({("A", "B"): 1, ("B", "D"): 20, ("A", "D"): 9})
         request = AgentRequest(1, "A", "D")
+        grown_tree(graph, "D")
         riders = {("B", "D"): frozenset({2, 3, 4}), ("A", "B"): frozenset({1, 2, 3})}
         plan = counted_plan(graph, request, riders)
         assert plan.stops() == ("A", "B", "D")
@@ -277,7 +294,7 @@ class TestDistanceCache:
             nodes, edges = random_digraph(rng, rng.randint(2, 8), edge_prob=rng.uniform(0.1, 0.5), max_cost=9)
             graph = graph_of(edges, extra_nodes=set(nodes))
             destination = rng.choice(nodes)
-            distance = graph.tree_to(destination)[0]
+            distance = grown_tree(graph, destination).distance
             for node in nodes:
                 if node == destination:
                     expected = 0
@@ -288,8 +305,9 @@ class TestDistanceCache:
 
     def test_computed_once_per_destination(self):
         graph = graph_of({("A", "B"): 1, ("B", "C"): 2})
-        assert graph.tree_to("C")[0] is graph.tree_to("C")[0]
-        assert list(graph.tree_to("B")[0]) == [1, 0, UNREACHABLE]
+        assert graph.tree_to("C") is graph.tree_to("C")
+        assert list(grown_tree(graph, "B").distance) == [1, 0, UNREACHABLE]
+        assert grown_tree(graph, "B") is graph.tree_to("B")
 
     def test_durations_beyond_64_bits(self):
         graph = graph_of({("A", "B"): 10**19, ("B", "C"): 1, ("A", "C"): 10**20})
@@ -343,7 +361,8 @@ class TestSoloReadOff:
         # A-M-Z and A-K-Z cost 10 in two legs, A-Z costs 10 in one, and
         # B-K-Z and B-M-Z tie on both cost and legs
         graph = graph_of({("A", "Z"): 10, ("A", "K"): 5, ("K", "Z"): 5, ("B", "M"): 4, ("M", "Z"): 5, ("B", "K"): 4})
-        distance, next_hop = graph.tree_to("Z")
+        tree = grown_tree(graph, "Z")
+        distance, next_hop = tree.distance, tree.next_hop
         position = graph.positions
         assert next_hop[position["A"]] == position["Z"]
         assert next_hop[position["B"]] == position["K"]
@@ -355,7 +374,7 @@ class TestSoloReadOff:
         destination = graph.names[-1]
         requests = [AgentRequest(1, origin, destination) for origin in graph.names[:-1]]
         expected = [uniform_cost_plan(graph, request) for request in requests]
-        graph.tree_to(destination)
+        grown_tree(graph, destination)
 
         def no_search(*args):
             raise AssertionError("a solo route pushed onto a heap")
@@ -365,12 +384,91 @@ class TestSoloReadOff:
 
     def test_entry_is_two_arrays_over_the_nodes(self):
         graph = graph_of({("A", "B"): 1, ("B", "C"): 2}, extra_nodes={"D"})
-        tree = graph.tree_to("C")
+        tree = grown_tree(graph, "C")
         assert tree is graph.tree_to("C")
-        distance, next_hop = tree
-        assert len(tree) == 2
+        distance, next_hop = tree.distance, tree.next_hop
         assert isinstance(distance, array) and distance.typecode == "d"
         assert isinstance(next_hop, array) and next_hop.typecode in "bhilq"
         assert len(distance) == len(next_hop) == len(graph.names)
-        assert graph.tree_to("C")[0] is distance
+        assert graph.tree_to("C").distance is distance
         assert list(next_hop) == [1, 2, UNREACHABLE, UNREACHABLE]
+
+
+def settled(tree):
+    """The positions the tree has settled, with their distances and next hops."""
+    return [(node, d, tree.next_hop[node]) for node, d in enumerate(tree.distance) if d != UNSETTLED]
+
+
+def same_graph(graph):
+    """A copy of graph with no tree grown yet."""
+    return RelaxedGraph(nodes=graph.nodes, edges=graph.edges)
+
+
+def random_riders(rng, graph, n_agents):
+    """Rider labels among n_agents travellers on a random subset of the edges."""
+    everyone = range(1, n_agents + 1)
+    return {
+        edge: frozenset(rng.sample(everyone, rng.randint(0, n_agents)))
+        for edge in sorted(graph.edges)
+        if rng.random() < 0.6
+    }
+
+
+class TestLazyTree:
+    def test_solo_plans_match_uniform_cost_search_however_far_the_tree_has_grown(self):
+        rng = random.Random(1969)
+        unreachable = 0
+        for _ in range(300):
+            nodes, graph = tie_heavy_graph(rng)
+            exhausted = same_graph(graph)
+            for destination in nodes:
+                grown_tree(exhausted, destination)
+            for destination in nodes:
+                origins = [node for node in nodes if node != destination]
+                rng.shuffle(origins)
+                for origin in origins:
+                    request = AgentRequest(1, origin, destination)
+                    expected = uniform_cost_plan(graph, request)
+                    # cold: a fresh tree; partly grown: the origins before
+                    # this one grew it; exhausted: every node settled
+                    assert plan_individual(same_graph(graph), request) == expected
+                    assert plan_individual(graph, request) == expected
+                    assert plan_individual(exhausted, request) == expected
+                    unreachable += expected is None
+        assert unreachable
+
+    def test_best_response_on_partly_grown_trees_matches_the_oracle_and_grows_nothing(self):
+        rng = random.Random(1973)
+        partial = unreachable = 0
+        for _ in range(300):
+            nodes, graph = tie_heavy_graph(rng)
+            n_agents = rng.randint(1, 6)
+            riders = random_riders(rng, graph, n_agents)
+            for destination in nodes:
+                tree = graph.tree_to(destination)
+                for node in rng.sample(range(len(nodes)), rng.randint(0, 2)):
+                    tree.settle(node)
+                for origin in nodes:
+                    if origin == destination:
+                        continue
+                    request = AgentRequest(rng.randint(1, n_agents), origin, destination)
+                    before, radius = settled(tree), tree.radius
+                    plan = plan_individual(graph, request, occupancy_of(graph, riders, request.agent))
+                    assert plan == rider_oracle(graph, request, riders)
+                    assert settled(tree) == before and tree.radius == radius
+                    partial += 0 < len(before) < len(nodes)
+                    unreachable += plan is None
+        assert partial and unreachable
+
+    def test_a_solo_route_settles_no_node_farther_than_its_origin(self):
+        # the dense workload's 20x40 grid; the headway does not move the edges
+        _, graph = prepare_network(build_synthetic_network(SyntheticNetworkSpec(width=20, height=40, headway_min=600)))
+        rng = random.Random(2005)
+        for _ in range(20):
+            origin, destination = rng.sample(graph.names, 2)
+            cold = same_graph(graph)
+            plan_individual(cold, AgentRequest(1, origin, destination))
+            tree = cold.tree_to(destination)
+            reach = tree.distance[graph.positions[origin]]
+            assert reach >= 0
+            assert all(d <= reach for _, d, _ in settled(tree))
