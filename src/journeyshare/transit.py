@@ -14,9 +14,10 @@ import csv
 import heapq
 import math
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, groupby
+from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -68,9 +69,14 @@ class Stop:
             raise ValidationError(f"stop {self.id}: unknown mode {self.mode!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TimetabledConnection:
-    """One leg of one vehicle run: depart from_stop, arrive to_stop later."""
+    """One leg of one vehicle run: depart from_stop, arrive to_stop later.
+
+    __init__ (dataclasses.replace's too) rejects a looping leg, a departure outside
+    the day and a non-positive duration, then sets each slot through its member
+    descriptor, not the object.__setattr__ per field of a frozen dataclass __init__.
+    """
 
     service_id: str
     run_id: str
@@ -80,15 +86,28 @@ class TimetabledConnection:
     departure: int
     duration: int
 
-    def __post_init__(self) -> None:
-        if self.from_stop == self.to_stop:
-            raise ValidationError(f"run {self.run_id} seq {self.seq}: leg loops at {self.from_stop}")
-        if not 0 <= self.departure < DAY_MINUTES:
-            raise ValidationError(
-                f"run {self.run_id} seq {self.seq}: departure {self.departure} outside [0, {DAY_MINUTES})"
-            )
-        if self.duration <= 0:
-            raise ValidationError(f"run {self.run_id} seq {self.seq}: duration must be positive")
+    def __init__(
+        self, service_id: str, run_id: str, seq: int, from_stop: str, to_stop: str, departure: int, duration: int
+    ) -> None:
+        if from_stop == to_stop:
+            raise ValidationError(f"run {run_id} seq {seq}: leg loops at {from_stop}")
+        if not 0 <= departure < DAY_MINUTES:
+            raise ValidationError(f"run {run_id} seq {seq}: departure {departure} outside [0, {DAY_MINUTES})")
+        if duration <= 0:
+            raise ValidationError(f"run {run_id} seq {seq}: duration must be positive")
+        _set_service_id(self, service_id)
+        _set_run_id(self, run_id)
+        _set_seq(self, seq)
+        _set_from_stop(self, from_stop)
+        _set_to_stop(self, to_stop)
+        _set_departure(self, departure)
+        _set_duration(self, duration)
+
+
+# each slot's member-descriptor setter, bound once: the frozen class's __setattr__ refuses every write
+(_set_service_id, _set_run_id, _set_seq, _set_from_stop, _set_to_stop, _set_departure, _set_duration) = (
+    TimetabledConnection.__dict__[name].__set__ for name in TimetabledConnection.__slots__
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,15 +149,17 @@ class TransitNetwork:
     @cached_property
     def stop_index(self) -> StopIndex:
         """Departures per stop and next stop, and walking links per stop
-        pair, built on first use.
+        pair, built on first use (in prepare_network); build_relaxed_graph
+        reads each pair's least duration off it.
 
         The index references the network's own connection and link objects,
-        ordered as StopIndex says (exact ties keep network order); scheduling
-        keeps the first of equally good moves in this order.
+        grouped by defaultdicts (no throw-away {} or [] per leg) and ordered as
+        StopIndex says (exact ties keep network order); scheduling keeps the
+        first of equally good moves in this order.
         """
-        departures: dict[str, dict[str, list[TimetabledConnection]]] = {}
+        departures: dict[str, dict[str, list[TimetabledConnection]]] = defaultdict(lambda: defaultdict(list))
         for conn in self.connections:
-            departures.setdefault(conn.from_stop, {}).setdefault(conn.to_stop, []).append(conn)
+            departures[conn.from_stop][conn.to_stop].append(conn)
         walks: dict[tuple[str, str], list[WalkingLink]] = {}
         for link in self.walking_links:
             walks.setdefault((link.from_stop, link.to_stop), []).append(link)
@@ -370,9 +391,9 @@ def make_network(stops: Mapping[str, Stop], connections: Iterable[TimetabledConn
     started: set[str] = set()
     prev = None
     for leg in connections:
-        for stop_id in (leg.from_stop, leg.to_stop):
-            if stop_id not in stops:
-                raise _bad_leg(ReferentialError, leg, f"unknown stop {stop_id!r}")
+        if leg.from_stop not in stops or leg.to_stop not in stops:
+            unknown = leg.to_stop if leg.from_stop in stops else leg.from_stop
+            raise _bad_leg(ReferentialError, leg, f"unknown stop {unknown!r}")
         if prev is None or leg.run_id != prev.run_id or leg.service_id != prev.service_id:
             if leg.run_id in started:
                 services = sorted({c.service_id for c in connections if c.run_id == leg.run_id})
@@ -538,13 +559,17 @@ def build_relaxed_graph(network: TransitNetwork) -> RelaxedGraph:
     """Collapse the timetable to a directed graph of minimal leg durations.
 
     The express filter is computed per stop pattern (_express_excluded); the
-    minimal durations are taken over every run's legs and every walking link.
+    minimal durations are read off the stop index (prepare_network's): per stop
+    pair, the least of its departures' durations and its first, shortest walk.
     """
     excluded = _express_excluded(network)
+    duration = attrgetter("duration")
     shortest: dict[tuple[str, str], int] = {}
-    for leg in chain(network.connections, network.walking_links):
-        pair = (leg.from_stop, leg.to_stop)
-        if leg.duration < shortest.get(pair, math.inf):
-            shortest[pair] = leg.duration
+    for stop, to_stops in network.stop_index.departures.items():
+        for succ, conns in to_stops.items():
+            shortest[stop, succ] = min(map(duration, conns))
+    for pair, (link, *_) in network.stop_index.walks.items():
+        if link.duration < shortest.get(pair, math.inf):
+            shortest[pair] = link.duration
     edges = {pair: shortest[pair] for pair in sorted(shortest) if pair not in excluded}
     return RelaxedGraph(nodes=frozenset(network.stops), edges=edges)

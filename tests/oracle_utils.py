@@ -296,6 +296,18 @@ def express_excluded_per_run(network) -> set[tuple[str, str]]:
     return excluded
 
 
+def relaxed_edges_full_scan(network) -> list[tuple[tuple[str, str], int]]:
+    """The relaxed graph's edges, in order, by a scan of every connection and
+    every walking link: per stop pair the least duration, sorted by pair,
+    less the express filter of express_excluded_per_run."""
+    shortest: dict[tuple[str, str], int] = {}
+    for leg in [*network.connections, *network.walking_links]:
+        pair = (leg.from_stop, leg.to_stop)
+        shortest[pair] = min(leg.duration, shortest.get(pair, leg.duration))
+    excluded = express_excluded_per_run(network)
+    return [(pair, shortest[pair]) for pair in sorted(shortest) if pair not in excluded]
+
+
 def all_pairs_admissible(network, direction: str, min_km: float, max_km: float) -> list[tuple[str, str]]:
     """admissible_pairs by measuring every origin-quadrant stop against every
     destination-quadrant stop."""

@@ -27,8 +27,8 @@ from journeyshare.transit import (
     save_network,
 )
 
-from conftest import SIX_STOP_STOPS, write_csv
-from oracle_utils import express_excluded_per_run
+from conftest import SIX_STOP_STOPS, WALK_NETWORK, write_csv
+from oracle_utils import express_excluded_per_run, relaxed_edges_full_scan
 
 STOPS_4 = [
     "stop_id,name,lat,lon,mode",
@@ -276,6 +276,42 @@ class TestValueObjects:
         assert restored.runs() == net.runs()
 
 
+class TestLegChecks:
+    """TimetabledConnection's own __init__, called directly and through
+    dataclasses.replace, makes every check with its message."""
+
+    LEG = TimetabledConnection("SA", "RA", 3, "W", "X", 60, 10)
+    REJECTED = [
+        ({"departure": -1}, "run RA seq 3: departure -1 outside [0, 1440)"),
+        ({"departure": 1440}, "run RA seq 3: departure 1440 outside [0, 1440)"),
+        ({"duration": 0}, "run RA seq 3: duration must be positive"),
+        ({"to_stop": "W"}, "run RA seq 3: leg loops at W"),
+    ]
+
+    @pytest.mark.parametrize("changes", [{"departure": 0}, {"departure": 1439}, {"duration": 1}])
+    def test_bounds_accepted(self, changes):
+        fields = {**dataclasses.asdict(self.LEG), **changes}
+        leg = TimetabledConnection(*fields.values())
+        assert dataclasses.astuple(leg) == tuple(fields.values())
+        assert dataclasses.replace(self.LEG, **changes) == leg
+
+    @pytest.mark.parametrize("changes, message", REJECTED)
+    def test_rejected_with_its_message(self, changes, message):
+        fields = {**dataclasses.asdict(self.LEG), **changes}
+        with pytest.raises(ValidationError) as built:
+            TimetabledConnection(*fields.values())
+        assert str(built.value) == message
+        with pytest.raises(ValidationError) as keyword:
+            TimetabledConnection(**fields)
+        assert str(keyword.value) == message
+
+    @pytest.mark.parametrize("changes, message", REJECTED)
+    def test_replace_checks_again(self, changes, message):
+        with pytest.raises(ValidationError) as replaced:
+            dataclasses.replace(self.LEG, **changes)
+        assert str(replaced.value) == message
+
+
 class TestHaversine:
     def test_identity(self):
         assert haversine_km((55.95, -3.19), (55.95, -3.19)) == 0.0
@@ -477,6 +513,45 @@ class TestRelaxedGraph:
                     all(seg in graph.edges for seg in zip(w, w[1:])) for w in witnesses
                 ), f"trial {trial}: {pair} dropped but no stopping route fully present"
 
+    @pytest.mark.parametrize("leg_min, walk_min, expected", [(3, 7, 3), (9, 4, 4)])
+    def test_pair_with_leg_and_walk_takes_the_shorter(self, leg_min, walk_min, expected):
+        stops = load_stops(write_csv(STOPS_4))
+        # two legs and two walks back W->X; the first departure is not the shortest
+        legs = (
+            TimetabledConnection("SA", "RA", 1, "W", "X", 60, leg_min + 5),
+            TimetabledConnection("SB", "RB", 1, "W", "X", 90, leg_min),
+        )
+        walks = frozenset({WalkingLink("W", "X", walk_min + 2), WalkingLink("W", "X", walk_min)})
+        graph = build_relaxed_graph(TransitNetwork(stops, legs, walks))
+        assert dict(graph.edges) == {("W", "X"): expected}
+
+    def test_edges_match_a_full_scan_on_walking_networks(self):
+        rng = random.Random(26)
+        networks = [WALK_NETWORK]
+        for _ in range(12):
+            spec = SyntheticNetworkSpec(
+                width=rng.randint(2, 5),
+                height=rng.randint(2, 5),
+                spacing_km=rng.choice((0.2, 0.3, 0.45)),
+                headway_min=rng.choice((60, 120, 240)),
+                leg_min=rng.randint(1, 12),
+                line_offset_min=rng.randint(0, 20),
+            )
+            grid = build_synthetic_network(spec)
+            # an express run over three stops of the first column, a second
+            # duration between its first two stops, and spare walks between
+            # random stop pairs, some of them already linked
+            names = sorted(grid.stops)
+            extra = (
+                TimetabledConnection("X", "XR1", 1, names[0], names[2], 480, rng.randint(1, 20)),
+                TimetabledConnection("Y", "YR1", 1, names[0], names[1], rng.randint(0, 1400), rng.randint(1, 20)),
+            )
+            net = add_walking_links(make_network(grid.stops, (*grid.connections, *extra)), max_distance_km=0.5)
+            spare = {WalkingLink(*rng.sample(names, 2), rng.randint(1, 15)) for _ in range(10)}
+            networks.append(TransitNetwork(net.stops, net.connections, net.walking_links | spare))
+        for net in networks:
+            assert list(build_relaxed_graph(net).edges.items()) == relaxed_edges_full_scan(net)
+
 
 def _no_loops(stops: list[str]) -> list[str]:
     """The visit sequence with immediate repeats merged, so no leg loops."""
@@ -562,11 +637,5 @@ class TestExpressFilterPerPattern:
             TimetabledConnection("X", "XR1", 2, "S0005", "S0010", 515, 30),
         )
         net = make_network(grid.stops, (*grid.connections, *express))
-        excluded = express_excluded_per_run(net)
-        assert excluded == {("S0000", "S0005"), ("S0005", "S0010")}
-        shortest: dict[tuple[str, str], int] = {}
-        for conn in net.connections:
-            pair = (conn.from_stop, conn.to_stop)
-            shortest[pair] = min(conn.duration, shortest.get(pair, conn.duration))
-        expected = [(pair, shortest[pair]) for pair in sorted(shortest) if pair not in excluded]
-        assert list(build_relaxed_graph(net).edges.items()) == expected
+        assert express_excluded_per_run(net) == {("S0000", "S0005"), ("S0005", "S0010")}
+        assert list(build_relaxed_graph(net).edges.items()) == relaxed_edges_full_scan(net)
