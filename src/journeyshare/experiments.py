@@ -61,7 +61,7 @@ DEFAULT_SYNTH_SPEC = SyntheticNetworkSpec(
 
 def quadrant_axes(network: TransitNetwork) -> tuple[float, float]:
     """Axes at the median stop latitude/longitude, balancing the quadrants."""
-    stops = sorted(network.stops.values(), key=lambda s: s.id)
+    stops = network.stops.values()
     if not stops:
         raise ScenarioError("network has no stops")
     return statistics.median(s.lat for s in stops), statistics.median(s.lon for s in stops)
@@ -214,7 +214,6 @@ def prepare_network(network: TransitNetwork, config: EngineConfig = EngineConfig
     """Add walking links, index departures per stop and next stop, and build
     the relaxed graph (do once per network)."""
     prepared = add_walking_links(network, config.walk_max_km, config.walk_speed_kmh)
-    prepared.stop_index  # build the cached index here, not in the first pipeline call
     return prepared, build_relaxed_graph(prepared)
 
 
@@ -502,11 +501,14 @@ def run_batch(
 
 
 def _number(record: dict[str, str], col: str, where: str, kind=float):
-    """record[col] as a number; ParseError naming where and the column otherwise."""
+    """record[col] as a finite number; ParseError naming where and the column otherwise."""
     try:
-        return kind(record[col])
+        value = kind(record[col])
     except ValueError:
         raise ParseError(f"{where}: non-numeric {col} {record[col]!r}") from None
+    if not math.isfinite(value):
+        raise ParseError(f"{where}: non-finite {col} {record[col]!r}")
+    return value
 
 
 def validate_results_file(path: str | Path) -> int:

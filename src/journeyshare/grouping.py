@@ -17,7 +17,7 @@ from typing import Mapping
 from .errors import ConsistencyError
 from .planning import AgentId, Edge, Plan
 from .best_response import JointPlan
-from .transit import TimetabledConnection, TransitNetwork, WalkingLink
+from .transit import NETWORK_ORDER, TimetabledConnection, TransitNetwork, WalkingLink
 
 
 @dataclass(frozen=True)
@@ -154,20 +154,19 @@ def part_precedence(parts: list[Part]) -> list[int]:
 def relevant_timetable(parts: list[Part], network: TransitNetwork) -> TransitNetwork:
     """The network slice a group's scheduling may use: timetabled legs linking
     two stops of one part in travel direction, plus walking links between
-    consecutive part stops, connections in (service_id, run_id, seq) order.
+    consecutive part stops, connections in NETWORK_ORDER.
 
-    Reads the network's index per stop and next stop, as the part search
-    does, so the cost is the number of departures that stay on a part, not
-    parts times network size.
+    Reads the network's departures per stop and next stop, and its walks per
+    stop pair, as the part search does, so the cost is the number of
+    departures that stay on a part, not parts times network size.
     """
-    stop_index = network.stop_index
     connections: list[TimetabledConnection] = []
     seen: set[tuple[str, int]] = set()
     walks: set[WalkingLink] = set()
     for part in parts:
         position = {stop: i for i, stop in enumerate(part.stops)}
         for stop, i in position.items():
-            for succ, conns in stop_index.departures.get(stop, {}).items():
+            for succ, conns in network.departures.get(stop, {}).items():
                 if position.get(succ, -1) <= i:
                     continue
                 for conn in conns:
@@ -176,9 +175,9 @@ def relevant_timetable(parts: list[Part], network: TransitNetwork) -> TransitNet
                         seen.add(key)
                         connections.append(conn)
         for pair in zip(part.stops, part.stops[1:]):
-            walks.update(stop_index.walks.get(pair, ()))
+            walks.update(network.walks.get(pair, ()))
 
-    connections.sort(key=lambda c: (c.service_id, c.run_id, c.seq))
+    connections.sort(key=NETWORK_ORDER)
     return TransitNetwork(stops=network.stops, connections=tuple(connections), walking_links=frozenset(walks))
 
 

@@ -27,7 +27,7 @@ from .errors import ConsistencyError, InputError
 # relevant_timetable is not called here; perfbench wraps scheduling.relevant_timetable by name
 from .grouping import Part, part_precedence, relevant_timetable
 from .planning import AgentId, Plan
-from .transit import DAY_MINUTES, TransitNetwork
+from .transit import DAY_MINUTES, DEPARTURE_ORDER, TransitNetwork
 
 MODE_SERVICE = "service"
 MODE_WALK = "walk"
@@ -114,27 +114,26 @@ class _PartSolver:
 
     A move from stop i is (to_index, departure, duration, run_id): first the
     walks to stop i + 1, then the timetabled departures to later part stops,
-    both in the network's stop-index order; departure and run_id are None
-    for walks, which start any time.  Among equally good moves both searches
-    keep the first, but only the latest-departure search picks legs.
+    both in the order of tt's walks and departures; departure and run_id are
+    None for walks, which start any time.  Among equally good moves both
+    searches keep the first, but only the latest-departure search picks legs.
 
-    The moves are read off tt's stop index per next stop, and only the next
+    The moves are read off tt.departures per next stop, and only the next
     stops later on the part are read, so tt may be the whole network or any
     slice of it that holds the part's legs.  A stop with departures to two or
-    more later part stops (express legs) has them merged on the index key.
+    more later part stops (express legs) has them merged on DEPARTURE_ORDER.
     """
 
     def __init__(self, part: Part, tt: TransitNetwork):
         self.part = part
         self.size = len(part.stops)
         position = {stop: i for i, stop in enumerate(part.stops)}
-        stop_index = tt.stop_index
         self.moves: list[list[tuple[int, int | None, int, str | None]]] = []
         for i, stop in enumerate(part.stops[:-1]):
-            walks = stop_index.walks.get((stop, part.stops[i + 1]), ())
+            walks = tt.walks.get((stop, part.stops[i + 1]), ())
             moves = [(i + 1, None, link.duration, None) for link in walks]
             ahead = []
-            for succ, conns in stop_index.departures.get(stop, {}).items():
+            for succ, conns in tt.departures.get(stop, {}).items():
                 j = position.get(succ, -1)
                 if j > i:
                     ahead.append((j, conns))
@@ -142,8 +141,8 @@ class _PartSolver:
                 j, conns = ahead[0]
                 moves += [(j, c.departure, c.duration, c.run_id) for c in conns]
             elif ahead:
-                keyed = [[(c.departure, c.duration, c.run_id, c.seq, j) for c in conns] for j, conns in ahead]
-                moves += [(j, departure, duration, run_id) for departure, duration, run_id, _, j in heapq.merge(*keyed)]
+                merged = heapq.merge(*(conns for _, conns in ahead), key=DEPARTURE_ORDER)
+                moves += [(position[c.to_stop], c.departure, c.duration, c.run_id) for c in merged]
             self.moves.append(moves)
 
     def earliest_arrival(self, ready_time: int) -> int | None:

@@ -33,6 +33,10 @@ UNSETTLED = -2
 # a ReverseTree's tentative key for a settled node: below every key, so no
 # candidate replaces it
 _SETTLED = -1
+# the network's leg order, in which each run is one contiguous slice, in seq order
+NETWORK_ORDER = attrgetter("service_id", "run_id", "seq")
+# the order of a stop pair's departures, which earliest-arrival scans rely on
+DEPARTURE_ORDER = attrgetter("departure", "duration", "run_id", "seq")
 
 MODES = ("rail", "coach", "walk-node")
 
@@ -120,26 +124,12 @@ class WalkingLink:
 
 
 @dataclass(frozen=True)
-class StopIndex:
-    """Timetabled connections grouped by from_stop and then by to_stop, each
-    stop pair's departures in (departure, duration, run_id, seq) order;
-    walking links grouped by stop pair, shortest first.
-
-    A search that may only move to some next stops reads just their
-    departures; merging those on the same key gives the stop's departures to
-    them in that order.
-    """
-
-    departures: Mapping[str, Mapping[str, tuple[TimetabledConnection, ...]]]
-    walks: Mapping[tuple[str, str], tuple[WalkingLink, ...]]
-
-
-@dataclass(frozen=True)
 class TransitNetwork:
     """Immutable container for stops, timetabled connections and walking links.
 
-    make_network leaves the connections in (service_id, run_id, seq) order,
-    so each run is one contiguous slice of them, in seq order.
+    make_network leaves the connections in NETWORK_ORDER.  departures and
+    walks, built on first use (in prepare_network), index the network's own
+    connection and link objects per stop pair.
     """
 
     stops: Mapping[str, Stop]
@@ -147,30 +137,25 @@ class TransitNetwork:
     walking_links: frozenset[WalkingLink] = frozenset()
 
     @cached_property
-    def stop_index(self) -> StopIndex:
-        """Departures per stop and next stop, and walking links per stop
-        pair, built on first use (in prepare_network); build_relaxed_graph
-        reads each pair's least duration off it.
-
-        The index references the network's own connection and link objects,
-        grouped by defaultdicts (no throw-away {} or [] per leg) and ordered as
-        StopIndex says (exact ties keep network order); scheduling keeps the
-        first of equally good moves in this order.
-        """
-        departures: dict[str, dict[str, list[TimetabledConnection]]] = defaultdict(lambda: defaultdict(list))
+    def departures(self) -> dict[str, dict[str, tuple[TimetabledConnection, ...]]]:
+        """from_stop -> to_stop -> departures in DEPARTURE_ORDER; merged on that
+        key, a stop's departures to some next stops come in that order, the
+        order in which scheduling keeps the first of equally good moves."""
+        grouped: dict[str, dict[str, list[TimetabledConnection]]] = defaultdict(lambda: defaultdict(list))
         for conn in self.connections:
-            departures[conn.from_stop][conn.to_stop].append(conn)
-        walks: dict[tuple[str, str], list[WalkingLink]] = {}
+            grouped[conn.from_stop][conn.to_stop].append(conn)
+        return {
+            stop: {succ: tuple(sorted(conns, key=DEPARTURE_ORDER)) for succ, conns in to_stops.items()}
+            for stop, to_stops in grouped.items()
+        }
+
+    @cached_property
+    def walks(self) -> dict[tuple[str, str], tuple[WalkingLink, ...]]:
+        """(from_stop, to_stop) -> its walking links, shortest first."""
+        grouped: dict[tuple[str, str], list[WalkingLink]] = {}
         for link in self.walking_links:
-            walks.setdefault((link.from_stop, link.to_stop), []).append(link)
-        by_time = attrgetter("departure", "duration", "run_id", "seq")
-        return StopIndex(
-            departures={
-                stop: {succ: tuple(sorted(conns, key=by_time)) for succ, conns in to_stops.items()}
-                for stop, to_stops in departures.items()
-            },
-            walks={pair: tuple(sorted(links, key=attrgetter("duration"))) for pair, links in walks.items()},
-        )
+            grouped.setdefault((link.from_stop, link.to_stop), []).append(link)
+        return {pair: tuple(sorted(links, key=attrgetter("duration"))) for pair, links in grouped.items()}
 
     def runs(self) -> dict[str, tuple[TimetabledConnection, ...]]:
         """Connections grouped by run id, runs in network order, each run in
@@ -380,14 +365,14 @@ def _bad_leg(kind: type[JourneyShareError], leg: TimetabledConnection, problem: 
 
 
 def make_network(stops: Mapping[str, Stop], connections: Iterable[TimetabledConnection]) -> TransitNetwork:
-    """The network, connections ordered by (service_id, run_id, seq).
+    """The network, connections in NETWORK_ORDER.
 
     One pass over the ordered connections checks each leg's stops against
     stops, raising ReferentialError naming the first unknown one, and each
     leg against the one before it, raising ValidationError on a broken run,
     without grouping the runs.
     """
-    connections = tuple(sorted(connections, key=attrgetter("service_id", "run_id", "seq")))
+    connections = tuple(sorted(connections, key=NETWORK_ORDER))
     started: set[str] = set()
     prev = None
     for leg in connections:
@@ -558,17 +543,17 @@ def _express_excluded(network: TransitNetwork) -> set[tuple[str, str]]:
 def build_relaxed_graph(network: TransitNetwork) -> RelaxedGraph:
     """Collapse the timetable to a directed graph of minimal leg durations.
 
-    The express filter is computed per stop pattern (_express_excluded); the
-    minimal durations are read off the stop index (prepare_network's): per stop
-    pair, the least of its departures' durations and its first, shortest walk.
+    The express filter is computed per stop pattern (_express_excluded); per
+    stop pair, the minimal duration is the least of its departures' durations
+    and its first, shortest walk, read off the network's departures and walks.
     """
     excluded = _express_excluded(network)
     duration = attrgetter("duration")
     shortest: dict[tuple[str, str], int] = {}
-    for stop, to_stops in network.stop_index.departures.items():
+    for stop, to_stops in network.departures.items():
         for succ, conns in to_stops.items():
             shortest[stop, succ] = min(map(duration, conns))
-    for pair, (link, *_) in network.stop_index.walks.items():
+    for pair, (link, *_) in network.walks.items():
         if link.duration < shortest.get(pair, math.inf):
             shortest[pair] = link.duration
     edges = {pair: shortest[pair] for pair in sorted(shortest) if pair not in excluded}

@@ -388,6 +388,25 @@ class TestExperimentAndValidate:
         assert code == 1
         assert f"{bad}:2: non-numeric t_br_s 'fast'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("s,2,NS,1,nan,,,,,,0.1,0.1,0.1,0.3", "non-finite delta_c 'nan'"),
+            ("s,2,NS,1,0.5,0,2,1,0,inf,0.1,0.1,0.1,0.3", "non-finite delta_t 'inf'"),
+            ("s,2,NS,1,0.5,,,,,,0.1,0.1,0.1,nan", "non-finite t_total_s 'nan'"),
+        ],
+    )
+    def test_validate_non_finite_field_is_input_error(self, tmp_path, capsys, row, message):
+        from journeyshare.metrics import RESULTS_COLUMNS
+
+        bad = tmp_path / "results.csv"
+        bad.write_text(",".join(RESULTS_COLUMNS) + "\n" + row + "\n")
+        code = main(["validate", "--results", str(bad)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {bad}:2: {message}" in err
+        assert "Traceback" not in err
+
     def test_non_utf8_matrix_names_file_and_line(self, tmp_path, capsys):
         matrix_path = tmp_path / "matrix.json"
         matrix_path.write_bytes(b'{\n  "scenario": "caf\xe9"\n}\n')

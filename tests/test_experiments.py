@@ -540,6 +540,11 @@ class TestRunBatch:
         _, graph = prepare_network(grid_network)
         assert set(vars(graph)) == {"nodes", "edges"}
 
+    def test_prepare_network_builds_the_departure_maps(self, grid_network):
+        # built in set-up, so the build counts there and not in the first pipeline call
+        prepared, _ = prepare_network(grid_network)
+        assert {"departures", "walks"} <= set(vars(prepared))
+
     @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(EngineConfig)])
     @pytest.mark.parametrize("value", [0, -5, float("nan"), float("inf")])
     def test_engine_config_rejects_a_non_positive_or_non_finite_value(self, grid_network, key, value):
@@ -725,6 +730,9 @@ class TestValidateResults:
             ("s,2,NS,1,0.5,0,two,1,0,0.1,0.1,0.1,0.1,0.3", "non-numeric group_size 'two'"),
             ("s,2,NS", "expected 14 fields, got 3"),
             ("s,2,NS,1,0.5,0,2,1,0,abc,0.1,0.1,0.1,0.3", "non-numeric delta_t 'abc'"),
+            ("s,2,NS,1,nan,,,,,,0.1,0.1,0.1,0.3", "non-finite delta_c 'nan'"),
+            ("s,2,NS,1,0.5,0,2,1,0,inf,0.1,0.1,0.1,0.3", "non-finite delta_t 'inf'"),
+            ("s,2,NS,1,0.5,,,,,,0.1,0.1,0.1,nan", "non-finite t_total_s 'nan'"),
             pytest.param("s," + "x" * 200_000, "field larger than field limit", id="oversized-field"),
         ],
     )

@@ -227,15 +227,15 @@ class TestStopIndex:
             TimetabledConnection("SD", "R0", 1, "W", "X", 100, 30),
         )
         walks = frozenset({WalkingLink("W", "X", 9), WalkingLink("W", "X", 4), WalkingLink("X", "W", 4)})
-        index = TransitNetwork({}, connections, walks).stop_index
-        by_next = {succ: [c.run_id for c in conns] for succ, conns in index.departures["W"].items()}
+        network = TransitNetwork({}, connections, walks)
+        by_next = {succ: [c.run_id for c in conns] for succ, conns in network.departures["W"].items()}
         assert by_next == {"X": ["R1", "R0", "Z9"], "Y": ["A1"]}
         # merged on the same key, the next stops give the stop's departures in time order
         by_time = attrgetter("departure", "duration", "run_id", "seq")
-        merged = heapq.merge(*index.departures["W"].values(), key=by_time)
+        merged = heapq.merge(*network.departures["W"].values(), key=by_time)
         assert [c.run_id for c in merged] == ["A1", "R1", "R0", "Z9"]
-        assert [link.duration for link in index.walks[("W", "X")]] == [4, 9]
-        assert "X" not in index.departures
+        assert [link.duration for link in network.walks[("W", "X")]] == [4, 9]
+        assert "X" not in network.departures
 
 
 class TestValueObjects:
