@@ -518,6 +518,14 @@ def validate_results_file(path: str | Path) -> int:
         count += 1
         where = f"{path}:{lineno}"
         record = dict(zip(RESULTS_COLUMNS, row))
+        # run_batch writes a direction and at least one agent; plan writes no
+        # direction, and no agent for a request file without rows
+        least = 1 if record["direction"] else 0
+        if _number(record, "n_agents", where, int) < least:
+            raise ConsistencyError(f"{where}: n_agents must be >= {least}")
+        if record["direction"] and record["direction"] not in DIRECTIONS:
+            raise ConsistencyError(f"{where}: unknown direction {record['direction']!r}")
+        _number(record, "seed", where, int)
         if record["delta_c"]:
             if _number(record, "delta_c", where) < -1e-12:
                 raise ConsistencyError(f"{path}:{lineno}: negative delta_c {record['delta_c']}")

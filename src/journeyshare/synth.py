@@ -61,7 +61,11 @@ def _departures(spec: SyntheticNetworkSpec, line_length: int, line_index: int) -
 
 def build_synthetic_network(spec: SyntheticNetworkSpec) -> TransitNetwork:
     """The grid of the spec as network objects; raises ValidationError when
-    Stop's checks reject a stop or two grid cells share a stop id."""
+    Stop's checks reject a stop or two grid cells share a stop id.
+
+    The legs are emitted in NETWORK_ORDER while the grid's ids stay two
+    digits (width and height up to 100), so make_network keeps them as they
+    come; a wider grid's legs are sorted there."""
     dlat = spec.spacing_km / KM_PER_DEG_LAT
     dlon = spec.spacing_km / (KM_PER_DEG_LAT * math.cos(math.radians(BASE_LAT)))
     stops: dict[str, Stop] = {}
@@ -85,19 +89,19 @@ def build_synthetic_network(spec: SyntheticNetworkSpec) -> TransitNetwork:
                     TimetabledConnection(service, run, k + 1, line_stops[k], line_stops[k + 1], departure, spec.leg_min)
                 )
 
-    line_index = 0
-    if spec.height >= 2:
-        for col in range(spec.width):
-            line_stops = [stop_id(col, row) for row in range(spec.height)]
-            emit_line(f"V{col:02d}A", line_stops, line_index)
-            emit_line(f"V{col:02d}B", line_stops[::-1], line_index)
-            line_index += 1
+    # rows (H) before columns (V), A before B: service-id order.  The line
+    # indices, which set the stagger, are numbered columns first
+    v_lines = spec.width if spec.height >= 2 else 0
     if spec.width >= 2:
         for row in range(spec.height):
             line_stops = [stop_id(col, row) for col in range(spec.width)]
-            emit_line(f"H{row:02d}A", line_stops, line_index)
-            emit_line(f"H{row:02d}B", line_stops[::-1], line_index)
-            line_index += 1
+            emit_line(f"H{row:02d}A", line_stops, v_lines + row)
+            emit_line(f"H{row:02d}B", line_stops[::-1], v_lines + row)
+    if spec.height >= 2:
+        for col in range(spec.width):
+            line_stops = [stop_id(col, row) for row in range(spec.height)]
+            emit_line(f"V{col:02d}A", line_stops, col)
+            emit_line(f"V{col:02d}B", line_stops[::-1], col)
     return make_network(stops, connections)
 
 

@@ -18,7 +18,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
-from operator import attrgetter
+from operator import attrgetter, lt
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -37,6 +37,7 @@ _SETTLED = -1
 NETWORK_ORDER = attrgetter("service_id", "run_id", "seq")
 # the order of a stop pair's departures, which earliest-arrival scans rely on
 DEPARTURE_ORDER = attrgetter("departure", "duration", "run_id", "seq")
+_departure = attrgetter("departure")
 
 MODES = ("rail", "coach", "walk-node")
 
@@ -123,6 +124,20 @@ class WalkingLink:
     duration: int
 
 
+def _in_departure_order(conns: list[TimetabledConnection]) -> tuple[TimetabledConnection, ...]:
+    """conns in DEPARTURE_ORDER, sorted only when their departures do not
+    strictly rise.  Two legs are compared directly: most pairs of a small
+    group slice have two, and there the C-level check would cost more than
+    the sort it saves."""
+    if len(conns) > 2:
+        minutes = list(map(_departure, conns))
+        if not all(map(lt, minutes, minutes[1:])):
+            conns.sort(key=DEPARTURE_ORDER)
+    elif len(conns) == 2 and conns[0].departure >= conns[1].departure:
+        conns.sort(key=DEPARTURE_ORDER)
+    return tuple(conns)
+
+
 @dataclass(frozen=True)
 class TransitNetwork:
     """Immutable container for stops, timetabled connections and walking links.
@@ -145,7 +160,7 @@ class TransitNetwork:
         for conn in self.connections:
             grouped[conn.from_stop][conn.to_stop].append(conn)
         return {
-            stop: {succ: tuple(sorted(conns, key=DEPARTURE_ORDER)) for succ, conns in to_stops.items()}
+            stop: {succ: _in_departure_order(conns) for succ, conns in to_stops.items()}
             for stop, to_stops in grouped.items()
         }
 
@@ -364,24 +379,27 @@ def _bad_leg(kind: type[JourneyShareError], leg: TimetabledConnection, problem: 
     return exc
 
 
-def make_network(stops: Mapping[str, Stop], connections: Iterable[TimetabledConnection]) -> TransitNetwork:
-    """The network, connections in NETWORK_ORDER.
+def _check_runs(stops: Mapping[str, Stop], legs: tuple[TimetabledConnection, ...]) -> None:
+    """Check legs as they come, in one pass and without grouping the runs.
 
-    One pass over the ordered connections checks each leg's stops against
-    stops, raising ReferentialError naming the first unknown one, and each
-    leg against the one before it, raising ValidationError on a broken run,
-    without grouping the runs.
+    Each leg's stops are checked against stops, raising ReferentialError
+    naming the first unknown one, and each leg against the one before it,
+    raising ValidationError on a broken run.  A run start whose (service_id,
+    run_id) does not rise above the previous run's raises JourneyShareError
+    itself, which sorted legs never do; with seq rising by one within each
+    run, a pass that raises nothing shows that legs are in NETWORK_ORDER.
     """
-    connections = tuple(sorted(connections, key=NETWORK_ORDER))
     started: set[str] = set()
     prev = None
-    for leg in connections:
+    for leg in legs:
         if leg.from_stop not in stops or leg.to_stop not in stops:
             unknown = leg.to_stop if leg.from_stop in stops else leg.from_stop
             raise _bad_leg(ReferentialError, leg, f"unknown stop {unknown!r}")
         if prev is None or leg.run_id != prev.run_id or leg.service_id != prev.service_id:
+            if prev is not None and (leg.service_id, leg.run_id) < (prev.service_id, prev.run_id):
+                raise JourneyShareError("legs out of network order")
             if leg.run_id in started:
-                services = sorted({c.service_id for c in connections if c.run_id == leg.run_id})
+                services = sorted({c.service_id for c in legs if c.run_id == leg.run_id})
                 raise _bad_leg(ValidationError, leg, f"run {leg.run_id} spans services {services}")
             started.add(leg.run_id)
             if leg.seq != 1:
@@ -401,7 +419,25 @@ def make_network(stops: Mapping[str, Stop], connections: Iterable[TimetabledConn
                 f"run {leg.run_id} seq {leg.seq}: departs at {leg.departure} before arrival of previous leg",
             )
         prev = leg
-    return TransitNetwork(stops=stops, connections=connections)
+
+
+def make_network(stops: Mapping[str, Stop], connections: Iterable[TimetabledConnection]) -> TransitNetwork:
+    """The network, connections in NETWORK_ORDER.
+
+    The connections are checked as they come (_check_runs); only if they are
+    out of order or faulty are they sorted and checked again, so that the
+    fault raised, a ReferentialError or ValidationError carrying its leg, is
+    the first in network order.
+    """
+    legs = tuple(connections)
+    try:
+        _check_runs(stops, legs)
+        return TransitNetwork(stops=stops, connections=legs)
+    except JourneyShareError:
+        pass
+    legs = tuple(sorted(legs, key=NETWORK_ORDER))
+    _check_runs(stops, legs)
+    return TransitNetwork(stops=stops, connections=legs)
 
 
 def load_network(stops_path: str | Path, timetable_path: str | Path) -> TransitNetwork:

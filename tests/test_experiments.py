@@ -115,6 +115,19 @@ class TestSyntheticNetwork:
         assert reloaded.stops == dict(direct.stops)
         assert reloaded.connections == direct.connections
 
+    @pytest.mark.parametrize(
+        "width, height, offsets",
+        [(3, 2, {"V00": 0, "V01": 7, "V02": 14, "H00": 21, "H01": 28}), (3, 1, {"H00": 0})],
+        ids=["3x2", "3x1"],
+    )
+    def test_line_stagger_numbers_columns_first(self, width, height, offsets):
+        # line i's first run leaves at (i * line_offset_min) % headway_min, both ways
+        spec = SyntheticNetworkSpec(width=width, height=height, headway_min=60, leg_min=5, line_offset_min=7)
+        first = {}
+        for leg in build_synthetic_network(spec).connections:
+            first.setdefault(leg.service_id, leg.departure)
+        assert first == {line + way: offset for line, offset in offsets.items() for way in "AB"}
+
     def test_repeated_stop_id_rejected(self):
         # S{col:02d}{row:02d} gives S10100 for column 10, row 100 and for column 101, row 0
         spec = SyntheticNetworkSpec(width=102, height=101, headway_min=1440, leg_min=10)
@@ -579,6 +592,7 @@ class TestRunBatch:
         for lineno, (row, expected) in enumerate(zip(rows, golden), start=1):
             assert [row[i] for i in keep] == expected, f"{golden_path.name}:{lineno} differs"
         assert len(rows) == len(golden)
+        assert validate_results_file(out) == len(golden) - 1
 
     def test_engine_overrides_in_matrix_cell(self, tmp_path):
         matrix = tiny_matrix()
@@ -726,6 +740,32 @@ class TestValidateResults:
     @pytest.mark.parametrize(
         "row, message",
         [
+            ("s,0,NS,1,0.5,,,,,,0.1,0.1,0.1,0.3", "n_agents must be >= 1"),
+            ("s,-1,,0,,,,,,,0.1,0.1,0.1,0.3", "n_agents must be >= 0"),
+            ("s,2,XX,1,0.5,,,,,,0.1,0.1,0.1,0.3", "unknown direction 'XX'"),
+            ("s,2,ns,1,0.5,,,,,,0.1,0.1,0.1,0.3", "unknown direction 'ns'"),
+        ],
+    )
+    def test_rejects_agent_count_and_direction_run_batch_never_writes(self, tmp_path, row, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(",".join(RESULTS_COLUMNS) + "\n" + row + "\n")
+        with pytest.raises(ConsistencyError, match=r"bad\.csv:2: " + message + "$"):
+            validate_results_file(bad)
+
+    def test_plan_row_without_direction_or_agents_validates(self, tmp_path):
+        good = tmp_path / "good.csv"
+        rows = [",".join(RESULTS_COLUMNS), "adhoc,0,,0,,,,,,,0.0,0.0,0.0,0.1", "adhoc,3,,0,0.5,,,,,,0.1,0.1,0.1,0.3"]
+        good.write_text("\n".join(rows) + "\n")
+        assert validate_results_file(good) == 2
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            # every one of n_agents, direction and seed is bad; the first column is named
+            ("s,two,XX,seven,0.5,,,,,,0.1,0.1,0.1,0.3", "non-numeric n_agents 'two'"),
+            ("s,2.0,NS,1,0.5,,,,,,0.1,0.1,0.1,0.3", "non-numeric n_agents '2.0'"),
+            ("s,2,NS,seven,0.5,,,,,,0.1,0.1,0.1,0.3", "non-numeric seed 'seven'"),
+            ("s,2,,1.5,0.5,,,,,,0.1,0.1,0.1,0.3", "non-numeric seed '1.5'"),
             ("s,2,NS,1,high,,,,,,0.1,0.1,0.1,0.3", "non-numeric delta_c 'high'"),
             ("s,2,NS,1,0.5,0,two,1,0,0.1,0.1,0.1,0.1,0.3", "non-numeric group_size 'two'"),
             ("s,2,NS", "expected 14 fields, got 3"),

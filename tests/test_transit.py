@@ -9,10 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from journeyshare.errors import ParseError, ReferentialError, ValidationError
+from journeyshare import synth
+from journeyshare.errors import JourneyShareError, ParseError, ReferentialError, ValidationError
+from journeyshare.experiments import DEFAULT_SYNTH_SPEC
 from journeyshare.synth import SyntheticNetworkSpec, build_synthetic_network
 from journeyshare.transit import (
     EARTH_RADIUS_KM,
+    NETWORK_ORDER,
     Stop,
     TimetabledConnection,
     TransitNetwork,
@@ -216,7 +219,7 @@ class TestLoadNetwork:
         assert reloaded.connections == net.connections
 
 
-class TestStopIndex:
+class TestDepartures:
     def test_departures_by_time_and_walks_shortest_first(self):
         # network order is by service; the index groups by next stop and
         # orders each pair's departures by (departure, duration, run_id, seq)
@@ -225,17 +228,118 @@ class TestStopIndex:
             TimetabledConnection("SB", "A1", 1, "W", "Y", 90, 50),
             TimetabledConnection("SC", "R1", 1, "W", "X", 100, 20),
             TimetabledConnection("SD", "R0", 1, "W", "X", 100, 30),
+            # Y -> X arrives with falling departures, Y -> Z has one departure
+            TimetabledConnection("SE", "E1", 1, "Y", "X", 300, 10),
+            TimetabledConnection("SF", "F1", 1, "Y", "X", 200, 10),
+            TimetabledConnection("SG", "G1", 1, "Y", "X", 100, 10),
+            TimetabledConnection("SH", "H1", 1, "Y", "Z", 50, 10),
+            # two-leg pairs: Z -> W ties on departure, Z -> X rises, Z -> Y falls
+            TimetabledConnection("SI", "I1", 1, "Z", "W", 100, 20),
+            TimetabledConnection("SJ", "J1", 1, "Z", "W", 100, 10),
+            TimetabledConnection("SK", "K1", 1, "Z", "X", 50, 10),
+            TimetabledConnection("SL", "L1", 1, "Z", "X", 60, 10),
+            TimetabledConnection("SM", "M1", 1, "Z", "Y", 90, 10),
+            TimetabledConnection("SN", "N1", 1, "Z", "Y", 80, 10),
         )
         walks = frozenset({WalkingLink("W", "X", 9), WalkingLink("W", "X", 4), WalkingLink("X", "W", 4)})
         network = TransitNetwork({}, connections, walks)
-        by_next = {succ: [c.run_id for c in conns] for succ, conns in network.departures["W"].items()}
-        assert by_next == {"X": ["R1", "R0", "Z9"], "Y": ["A1"]}
+        by_next = {
+            stop: {succ: [c.run_id for c in conns] for succ, conns in to_stops.items()}
+            for stop, to_stops in network.departures.items()
+        }
+        assert by_next == {
+            "W": {"X": ["R1", "R0", "Z9"], "Y": ["A1"]},
+            "Y": {"X": ["G1", "F1", "E1"], "Z": ["H1"]},
+            "Z": {"W": ["J1", "I1"], "X": ["K1", "L1"], "Y": ["N1", "M1"]},
+        }
         # merged on the same key, the next stops give the stop's departures in time order
         by_time = attrgetter("departure", "duration", "run_id", "seq")
         merged = heapq.merge(*network.departures["W"].values(), key=by_time)
         assert [c.run_id for c in merged] == ["A1", "R1", "R0", "Z9"]
         assert [link.duration for link in network.walks[("W", "X")]] == [4, 9]
         assert "X" not in network.departures
+
+
+# a leg's defect in leg_sets; None, listed first, is a valid leg and what Hypothesis shrinks to
+LEG_DEFECTS = (None, None, None, None, "gap", "break", "early", "unknown", "service")
+STOP_IDS = ("W", "X", "Y", "Z")
+
+
+@st.composite
+def leg_sets(draw):
+    """Legs of one to four runs over the stops of STOPS_4, (run_id, seq)
+    unique as load_network leaves them.  Each leg is valid or has one defect:
+    a seq gap, a chain break, a departure before the previous arrival, an
+    unknown stop, or another service, so that its run spans two."""
+    legs = []
+    for r in range(draw(st.integers(1, 4))):
+        service = draw(st.sampled_from(("SA", "SB", "SC")))
+        stop = draw(st.integers(0, 3))
+        departure = draw(st.integers(0, 600))
+        seq = 0
+        for _ in range(draw(st.integers(1, 3))):
+            seq += 1
+            succ = (stop + draw(st.integers(1, 3))) % 4
+            leg_service, from_stop, to_stop, leg_departure = service, STOP_IDS[stop], STOP_IDS[succ], departure
+            defect = draw(st.sampled_from(LEG_DEFECTS))
+            if defect == "gap":
+                seq += 1
+            elif defect == "break":
+                from_stop = next(s for s in STOP_IDS if s not in (from_stop, to_stop))
+            elif defect == "early":
+                leg_departure = max(0, departure - 1)
+            elif defect == "unknown":
+                to_stop = "Q"
+            elif defect == "service":
+                leg_service = next(s for s in ("SA", "SB") if s != service)
+            duration = draw(st.integers(1, 30))
+            legs.append(
+                TimetabledConnection(leg_service, f"R{r}", seq, from_stop, to_stop, leg_departure, duration)
+            )
+            departure = leg_departure + duration + draw(st.integers(0, 10))
+            stop = succ
+    return legs
+
+
+class TestNetworkOrder:
+    STOPS = load_stops(write_csv(STOPS_4))
+
+    @settings(max_examples=300, deadline=None)
+    @given(legs=leg_sets(), data=st.data())
+    def test_any_order_builds_or_fails_as_the_sorted_legs_do(self, legs, data):
+        shuffled = data.draw(st.permutations(legs))
+        try:
+            expected = make_network(self.STOPS, sorted(legs, key=NETWORK_ORDER))
+        except (ReferentialError, ValidationError) as exc:
+            expected = exc
+        if isinstance(expected, TransitNetwork):
+            assert make_network(self.STOPS, shuffled) == expected
+            assert make_network(self.STOPS, iter(shuffled)) == expected
+            return
+        with pytest.raises(JourneyShareError) as got:
+            make_network(self.STOPS, shuffled)
+        assert type(got.value) is type(expected)
+        assert str(got.value) == str(expected)
+        assert got.value.leg == expected.leg
+        # no trace of the unsorted pass
+        assert got.value.__context__ is None
+
+    @pytest.mark.parametrize(
+        "spec",
+        [DEFAULT_SYNTH_SPEC, SyntheticNetworkSpec(width=20, height=40, headway_min=60)],
+        ids=["grid6x20", "grid20x40"],
+    )
+    def test_grids_hand_over_legs_in_network_order(self, monkeypatch, spec):
+        handed = []
+
+        def spy(stops, connections):
+            handed.append(list(connections))
+            return make_network(stops, handed[-1])
+
+        monkeypatch.setattr(synth, "make_network", spy)
+        network = build_synthetic_network(spec)
+        assert handed[0] == sorted(handed[0], key=NETWORK_ORDER)
+        assert network.connections == tuple(handed[0])
 
 
 class TestValueObjects:
