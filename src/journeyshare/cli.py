@@ -31,7 +31,8 @@ logger = logging.getLogger(__name__)
 
 
 def load_requests(path: str | Path, stops: Container[str]) -> list[AgentRequest]:
-    """The file's requests; ParseError at path:line for a bad row or a stop not in stops."""
+    """The file's requests; ParseError at path:line for a bad row, a stop not
+    in stops, or a file with no request."""
     requests = []
     first_line: dict[str, int] = {}
     for lineno, row in read_csv(path, ["agent", "origin", "destination"]):
@@ -46,6 +47,8 @@ def load_requests(path: str | Path, stops: Container[str]) -> list[AgentRequest]
         for kind, stop in (("origin", origin), ("destination", destination)):
             if stop not in stops:
                 raise ParseError(f"{path}:{lineno}: unknown {kind} stop {stop!r}")
+    if not requests:
+        raise ParseError(f"{path}:1: no requests")
     return requests
 
 

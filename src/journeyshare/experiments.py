@@ -16,7 +16,7 @@ import random
 import statistics
 import time
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import asdict, dataclass, field, fields
 from itertools import accumulate
@@ -36,6 +36,7 @@ from .transit import (
     TransitNetwork,
     add_walking_links,
     build_relaxed_graph,
+    haversine_km,
     latitude_window_deg,
     load_network,
 )
@@ -93,7 +94,8 @@ class PairTable(Sequence[tuple[str, str]]):
 
     `stops` holds the network's stop ids in id order, and a stop is named by
     its position there.  `origins` holds the origins that have a pair, in id
-    order, and `rows[i]` the destination positions of `origins[i]`, ascending.
+    order, and `rows[i]` the destination positions of `origins[i]`, sorted
+    ascending (admissible_pairs gathers them cell by cell, not in order).
     `ends[i]` is the number of pairs in rows 0..i, so the k-th pair is found
     by bisecting the ends, and `size` is the number of pairs.
     """
@@ -129,6 +131,47 @@ class PairTable(Sequence[tuple[str, str]]):
                 yield stops[origin], stops[dest]
 
 
+# slack, in km, on a cell's radius and on the window a cell is decided against
+_CELL_MARGIN_KM = 1e-6
+
+
+def _cells(
+    members: list[tuple], stops: list, height: float, width: float
+) -> tuple[list[tuple], list[int], list[float], list[float]]:
+    """Destination stops of admissible_pairs bucketed into cells height
+    degrees of latitude by width degrees of longitude.
+
+    Each cell is (centre lat radians, centre lon radians, cos of centre lat
+    radians, radius km, member positions, members); its radius is the largest
+    centre-to-member haversine_km plus _CELL_MARGIN_KM.  The cells are listed
+    band by band in rising latitude, band b holding cells[first[b]:first[b + 1]]
+    and members from latitude lows[b] up to highs[b].
+    """
+    grid: dict[float, dict[float, list]] = {}
+    for member in members:
+        stop = stops[member[0]]
+        grid.setdefault(stop.lat // height, {}).setdefault(stop.lon // width, []).append(member)
+    cells: list[tuple] = []
+    first: list[int] = []
+    lows: list[float] = []
+    highs: list[float] = []
+    for band in sorted(grid):
+        first.append(len(cells))
+        lats = []
+        for in_cell in grid[band].values():
+            points = [(stops[member[0]].lat, stops[member[0]].lon) for member in in_cell]
+            cell_lats, cell_lons = zip(*points)
+            centre = ((min(cell_lats) + max(cell_lats)) / 2.0, (min(cell_lons) + max(cell_lons)) / 2.0)
+            radius = max(haversine_km(centre, point) for point in points) + _CELL_MARGIN_KM
+            lat = math.radians(centre[0])
+            cells.append((lat, math.radians(centre[1]), math.cos(lat), radius, [m[0] for m in in_cell], in_cell))
+            lats += cell_lats
+        lows.append(min(lats))
+        highs.append(max(lats))
+    first.append(len(cells))
+    return cells, first, lows, highs
+
+
 def admissible_pairs(
     network: TransitNetwork, direction: str, min_km: float = 20.0, max_km: float = 160.0
 ) -> PairTable:
@@ -136,12 +179,26 @@ def admissible_pairs(
     as a PairTable: one array of destination positions per origin, with no
     tuple per pair.
 
-    A pair whose latitude gap alone puts it beyond max_km is skipped without
-    computing its distance.  The distance is haversine_km's expression,
-    evaluated in the same order so that it is the same float, with each
-    stop's radians and latitude cosine taken once per call.  The quadrant
-    lists keep the stops in id order, so each origin's row of destination
-    positions comes out ascending and only the origins need ordering.
+    The destination quadrant's stops are bucketed into cells about max_km / 6
+    on a side (_cells).  An origin visits only the bands of cells its latitude
+    window reaches, and bounds each cell's members by the triangle
+    inequality: each lies within the centre's distance plus or minus the
+    cell's radius.  A cell whose bounds lie inside the window narrowed by
+    _CELL_MARGIN_KM is taken whole; one whose bounds lie outside the window
+    widened by it is skipped; each member of any other cell is measured as
+    before.  A member whose latitude gap alone puts it beyond max_km is
+    skipped unmeasured, and the others are measured with haversine_km's
+    expression, evaluated in the same order so that it is the same float,
+    with each stop's radians and latitude cosine taken once per call.  Each
+    row of destination positions is then sorted.
+
+    So the table is the one measuring every pair gives:
+    - the margin, 1e-6 km, is far above the float error of the expression,
+      which is about 1e-12 km at these distances, so no pair the bounds
+      decide has a measured distance on the other side of a window edge;
+    - every pair of a cell taken whole also passes the latitude prune: its
+      distance is at most max_km, and haversine_km gives at least 111.19 km
+      per degree of latitude gap, beyond the 111.0 of latitude_window_deg.
     """
     if direction not in _DIRECTION_RULE:
         raise InputError(f"unknown direction {direction!r}")
@@ -155,23 +212,33 @@ def admissible_pairs(
             lat = math.radians(stop.lat)
             by_quadrant[quadrant].append((position, stop.lat, lat, math.radians(stop.lon), math.cos(lat)))
     window = latitude_window_deg(max_km)
+    # a cell is a sixth of the window high, and as many km wide at the axis latitude
+    height = window / 6
+    width = height / math.cos(math.radians(axes[0]))
+    take_min, take_max = min_km + _CELL_MARGIN_KM, max_km - _CELL_MARGIN_KM
+    skip_min, skip_max = min_km - _CELL_MARGIN_KM, max_km + _CELL_MARGIN_KM
     sin, asin, sqrt, diameter = math.sin, math.asin, math.sqrt, 2.0 * EARTH_RADIUS_KM
     rows: dict[int, array] = {}
     for origin_q, dest_q in _DIRECTION_RULE[direction]:
+        cells, first, lows, highs = _cells(by_quadrant[dest_q], stops, height, width)
         for origin, lat_deg, lat1, lon1, cos1 in by_quadrant[origin_q]:
-            row = array(
-                "i",
-                [
-                    dest
-                    for dest, dest_lat_deg, lat2, lon2, cos2 in by_quadrant[dest_q]
-                    if abs(dest_lat_deg - lat_deg) <= window
-                    and min_km
-                    <= diameter * asin(sqrt(sin((lat2 - lat1) / 2.0) ** 2 + cos1 * cos2 * sin((lon2 - lon1) / 2.0) ** 2))
-                    <= max_km
-                ],
-            )
+            row: list[int] = []
+            reach = cells[first[bisect_left(highs, lat_deg - window)] : first[bisect_right(lows, lat_deg + window)]]
+            for lat2, lon2, cos2, radius, positions, members in reach:
+                km = diameter * asin(sqrt(sin((lat2 - lat1) / 2.0) ** 2 + cos1 * cos2 * sin((lon2 - lon1) / 2.0) ** 2))
+                if take_min <= km - radius and km + radius <= take_max:
+                    row += positions
+                elif skip_min <= km + radius and km - radius <= skip_max:
+                    row += [
+                        dest
+                        for dest, dest_lat_deg, lat2, lon2, cos2 in members
+                        if abs(dest_lat_deg - lat_deg) <= window
+                        and min_km
+                        <= diameter * asin(sqrt(sin((lat2 - lat1) / 2.0) ** 2 + cos1 * cos2 * sin((lon2 - lon1) / 2.0) ** 2))
+                        <= max_km
+                    ]
             if row:
-                rows[origin] = row
+                rows[origin] = array("i", sorted(row))
     origins = sorted(rows)
     return PairTable([stop.id for stop in stops], origins, [rows[origin] for origin in origins])
 
@@ -519,7 +586,7 @@ def validate_results_file(path: str | Path) -> int:
         where = f"{path}:{lineno}"
         record = dict(zip(RESULTS_COLUMNS, row))
         # run_batch writes a direction and at least one agent; plan writes no
-        # direction, and no agent for a request file without rows
+        # direction, and older plan outputs hold rows of no agent
         least = 1 if record["direction"] else 0
         if _number(record, "n_agents", where, int) < least:
             raise ConsistencyError(f"{where}: n_agents must be >= {least}")

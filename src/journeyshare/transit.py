@@ -335,7 +335,8 @@ def haversine_km(a: tuple[float, float], b: tuple[float, float]) -> float:
     """Great-circle distance in kilometres between two (lat, lon) points.
 
     experiments.admissible_pairs evaluates this expression inline, in the
-    same order; a change here must be made there too.
+    same order, for each cell centre and each stop it measures, and bounds its
+    cells by it; a change here must be made there too.
     """
     lat1, lon1 = math.radians(a[0]), math.radians(a[1])
     lat2, lon2 = math.radians(b[0]), math.radians(b[1])

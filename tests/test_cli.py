@@ -69,11 +69,10 @@ class TestPlanCommand:
         assert len(plans) == 2
         assert (out / "results.csv").exists()
 
-    @pytest.mark.parametrize("rows", [["a1,S0105,S0100", "a2,S0104,S0101"], []], ids=["two", "none"])
-    def test_plan_results_validate(self, grid_dir, tmp_path, capsys, rows):
-        # plan writes no direction, and no agent for a request file without rows
+    def test_plan_results_validate(self, grid_dir, tmp_path, capsys):
+        # plan writes no direction
         requests = tmp_path / "requests.csv"
-        write_requests(requests, rows)
+        write_requests(requests, ["a1,S0105,S0100", "a2,S0104,S0101"])
         out = tmp_path / "out"
         code = main(
             [
@@ -87,6 +86,24 @@ class TestPlanCommand:
         assert code == 0
         assert main(["validate", "--results", str(out / "results.csv")]) == 0
         assert "invariants hold" in capsys.readouterr().out
+
+    def test_request_file_without_rows_is_parse_error(self, grid_dir, tmp_path, capsys):
+        requests = tmp_path / "requests.csv"
+        write_requests(requests, [])
+        out = tmp_path / "out"
+        code = main(
+            [
+                "plan",
+                "--stops", str(grid_dir / "stops.csv"),
+                "--timetable", str(grid_dir / "timetable.csv"),
+                "--requests", str(requests),
+                "--out", str(out),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{requests}:1: no requests" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_missing_stop_is_input_error(self, grid_dir, tmp_path, capsys):
         requests = tmp_path / "requests.csv"

@@ -1,9 +1,12 @@
 import csv
 import dataclasses
+import math
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from journeyshare.config import EngineConfig
 from journeyshare.errors import ConsistencyError, InputError, ParseError, ScenarioError, ValidationError
@@ -28,7 +31,7 @@ from journeyshare.synth import (
     build_synthetic_network,
     generate_synthetic_network,
 )
-from journeyshare.transit import haversine_km, load_network
+from journeyshare.transit import Stop, haversine_km, load_network, make_network
 
 from conftest import write_csv
 from oracle_utils import all_pairs_admissible
@@ -251,17 +254,25 @@ class TestQuadrants:
 # the dense workload's 20x40 grid at a headway that builds it cheaply; the
 # headway does not move the stops
 DENSE_STOPS = SyntheticNetworkSpec(width=20, height=40, headway_min=600)
+# a grid whose quadrants are wider and taller than the 160 km window
+WIDE_STOPS = SyntheticNetworkSpec(width=28, height=56, headway_min=600)
 _REVERSE_OF = {"NS": "SN", "SN": "NS", "WE": "EW", "EW": "WE"}
+_PAIR_SPECS = {GRID: "grid", DEFAULT_SYNTH_SPEC: "default", DENSE_STOPS: "dense"}
+_PAIR_CASES = [(spec, direction) for spec in _PAIR_SPECS for direction in DIRECTIONS]
+_PAIR_CASES += [(WIDE_STOPS, "NS"), (WIDE_STOPS, "WE")]
 
 
 @pytest.fixture(scope="module")
 def pair_networks():
-    return {spec: build_synthetic_network(spec) for spec in (GRID, DEFAULT_SYNTH_SPEC, DENSE_STOPS)}
+    return {spec: build_synthetic_network(spec) for spec in (*_PAIR_SPECS, WIDE_STOPS)}
 
 
 class TestPairTable:
-    @pytest.mark.parametrize("direction", DIRECTIONS)
-    @pytest.mark.parametrize("spec", [GRID, DEFAULT_SYNTH_SPEC, DENSE_STOPS], ids=["grid", "default", "dense"])
+    @pytest.mark.parametrize(
+        "spec, direction",
+        _PAIR_CASES,
+        ids=[f"{_PAIR_SPECS.get(spec, 'wide')}-{direction}" for spec, direction in _PAIR_CASES],
+    )
     def test_table_is_the_sorted_pair_list(self, pair_networks, spec, direction):
         network = pair_networks[spec]
         table = admissible_pairs(network, direction, 20, 160)
@@ -296,6 +307,42 @@ class TestPairTable:
             tracemalloc.stop()
         assert len(pairs) == len(reverse) == 76_298
         assert peak < 2_000_000
+
+
+# scattered stops, as offsets in [-1, 1] from a centre, scaled by a spread in degrees
+SCATTERED = st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=4, max_size=60)
+
+
+class TestPairCells:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        centre=st.tuples(st.floats(-60.0, 60.0), st.floats(-170.0, 170.0)),
+        spread_deg=st.sampled_from([0.05, 0.4, 1.5, 4.0]),
+        offsets=SCATTERED,
+        data=st.data(),
+    )
+    def test_cells_give_the_all_pairs_table(self, centre, spread_deg, offsets, data):
+        stops = {
+            f"S{i:02d}": Stop(f"S{i:02d}", "Stop", centre[0] + dlat * spread_deg, centre[1] + dlon * spread_deg, "rail")
+            for i, (dlat, dlon) in enumerate(offsets)
+        }
+        network = make_network(stops, [])
+
+        def km(pair):
+            return haversine_km(*((stops[s].lat, stops[s].lon) for s in pair))
+
+        distances = sorted({km(pair) for d in DIRECTIONS for pair in all_pairs_admissible(network, d, 0.0, math.inf)})
+        assume(distances)
+        # window edges on pair distances, so pairs sit exactly on them
+        edge = st.sampled_from(distances)
+        low, high = sorted((data.draw(edge), data.draw(edge)))
+        windows = [(20.0, 160.0), (low, high), (low, low), (0.0, high), (0.0, 0.0), (0.0, math.inf), (low, math.inf)]
+        for min_km, max_km in windows:
+            for direction in DIRECTIONS:
+                table = admissible_pairs(network, direction, min_km, max_km)
+                assert list(table) == all_pairs_admissible(network, direction, min_km, max_km)
+                reverse = admissible_pairs(network, _REVERSE_OF[direction], min_km, max_km)
+                assert list(reversed_pairs(table)) == list(reverse)
 
 
 class TestGenerateRequests:
