@@ -26,7 +26,9 @@ from .best_response import JointPlan, agent_cost, run_br_phase
 from .config import EngineConfig
 from .errors import ConsistencyError, InputError, JourneyShareError, ParseError, ScenarioError, read_csv, read_text
 from .grouping import Group, Part, identify_groups, relevant_timetable, split_into_parts
-from .metrics import RESULTS_COLUMNS, ExperimentResult, GroupRecord, cost_improvement, prolongation, write_results_csv
+from .metrics import (
+    RESULTS_COLUMNS, TIMING_COLUMNS, ExperimentResult, GroupRecord, cost_improvement, prolongation, write_results_csv
+)
 from .planning import AgentId, AgentRequest, Plan, plan_individual
 from .scheduling import ScheduleResult, schedule_group, schedule_single_agent, time_limit_for
 from .synth import SyntheticNetworkSpec, build_synthetic_network
@@ -43,7 +45,9 @@ from .transit import (
 
 logger = logging.getLogger(__name__)
 
-DIRECTIONS = ("NS", "SN", "WE", "EW")
+# the admissible distance between a request's origin and destination, in km
+PAIR_MIN_KM = 20.0
+PAIR_MAX_KM = 160.0
 
 # Desk-scale default: a 6x20 corridor grid with sparse, staggered service
 # (about 2.5 runs per line-direction per day inside a 07:00-20:00 window),
@@ -86,6 +90,7 @@ _DIRECTION_RULE = {
     "WE": ((2, 1), (3, 4)),
     "EW": ((1, 2), (4, 3)),
 }
+DIRECTIONS = tuple(_DIRECTION_RULE)
 
 
 class PairTable(Sequence[tuple[str, str]]):
@@ -173,7 +178,7 @@ def _cells(
 
 
 def admissible_pairs(
-    network: TransitNetwork, direction: str, min_km: float = 20.0, max_km: float = 160.0
+    network: TransitNetwork, direction: str, min_km: float = PAIR_MIN_KM, max_km: float = PAIR_MAX_KM
 ) -> PairTable:
     """All origin-destination stop pairs admissible for one travel direction,
     as a PairTable: one array of destination positions per origin, with no
@@ -412,8 +417,8 @@ def default_matrix(
         "directions": list(DIRECTIONS),
         "seeds_per_direction": seeds_per_direction,
         "base_seed": base_seed,
-        "min_km": 20.0,
-        "max_km": 160.0,
+        "min_km": PAIR_MIN_KM,
+        "max_km": PAIR_MAX_KM,
     }
 
 
@@ -462,8 +467,8 @@ def _cell_settings(cell, cell_index: int) -> dict:
         "directions": list(DIRECTIONS),
         "seeds_per_direction": 10,
         "base_seed": 0,
-        "min_km": 20.0,
-        "max_km": 160.0,
+        "min_km": PAIR_MIN_KM,
+        "max_km": PAIR_MAX_KM,
         **cell,
     }
     rules = {
@@ -588,29 +593,33 @@ def validate_results_file(path: str | Path) -> int:
         # run_batch writes a direction and at least one agent; plan writes no
         # direction, and older plan outputs hold rows of no agent
         least = 1 if record["direction"] else 0
-        if _number(record, "n_agents", where, int) < least:
+        n_agents = _number(record, "n_agents", where, int)
+        if n_agents < least:
             raise ConsistencyError(f"{where}: n_agents must be >= {least}")
         if record["direction"] and record["direction"] not in DIRECTIONS:
             raise ConsistencyError(f"{where}: unknown direction {record['direction']!r}")
         _number(record, "seed", where, int)
         if record["delta_c"]:
             if _number(record, "delta_c", where) < -1e-12:
-                raise ConsistencyError(f"{path}:{lineno}: negative delta_c {record['delta_c']}")
+                raise ConsistencyError(f"{where}: negative delta_c {record['delta_c']}")
         is_summary = record["group_id"] == ""
         if is_summary and (record["group_size"] or record["matched"] or record["delta_t"]):
-            raise ConsistencyError(f"{path}:{lineno}: summary row carries group fields")
+            raise ConsistencyError(f"{where}: summary row carries group fields")
         if not is_summary:
+            if _number(record, "group_id", where, int) < 0:
+                raise ConsistencyError(f"{where}: negative group_id {record['group_id']}")
             if record["matched"] not in ("0", "1") or record["timed_out"] not in ("0", "1"):
-                raise ConsistencyError(f"{path}:{lineno}: matched/timed_out must be 0 or 1")
+                raise ConsistencyError(f"{where}: matched/timed_out must be 0 or 1")
             if record["matched"] == "1" and record["timed_out"] == "1":
-                raise ConsistencyError(f"{path}:{lineno}: timed-out group marked matched")
+                raise ConsistencyError(f"{where}: timed-out group marked matched")
             if record["delta_t"]:
                 if record["matched"] != "1":
-                    raise ConsistencyError(f"{path}:{lineno}: delta_t present on unmatched group")
+                    raise ConsistencyError(f"{where}: delta_t present on unmatched group")
                 _number(record, "delta_t", where)
-            if _number(record, "group_size", where, int) < 1:
-                raise ConsistencyError(f"{path}:{lineno}: group_size must be >= 1")
-        for col in ("t_initial_s", "t_br_s", "t_schedule_s", "t_total_s"):
+            group_size = _number(record, "group_size", where, int)
+            if not 1 <= group_size <= n_agents:
+                raise ConsistencyError(f"{where}: group_size must be from 1 to n_agents {n_agents}, got {group_size}")
+        for col in TIMING_COLUMNS:
             if record[col] == "" or _number(record, col, where) < 0:
-                raise ConsistencyError(f"{path}:{lineno}: missing or negative timing {col}")
+                raise ConsistencyError(f"{where}: missing or negative timing {col}")
     return count

@@ -11,6 +11,7 @@ from typing import Iterable, Mapping
 from .errors import InputError
 from .planning import AgentId
 
+TIMING_COLUMNS = ("t_initial_s", "t_br_s", "t_schedule_s", "t_total_s")
 RESULTS_COLUMNS = [
     "scenario",
     "n_agents",
@@ -22,10 +23,7 @@ RESULTS_COLUMNS = [
     "matched",
     "timed_out",
     "delta_t",
-    "t_initial_s",
-    "t_br_s",
-    "t_schedule_s",
-    "t_total_s",
+    *TIMING_COLUMNS,
 ]
 
 

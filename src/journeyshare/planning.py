@@ -143,8 +143,9 @@ def plan_individual(
 
     Without occupancy the destination's tree (graph.tree_to) grows until the
     origin is settled, and the route is read off its next hops, which break
-    ties the same way; nothing else is searched, and an unreachable
-    destination returns None.
+    ties the same way, and its cost is the origin's tree distance: the exact
+    sum of the integer base costs, so the float that summing each edge's
+    shared_cost(base, 1) gives.  An unreachable destination returns None.
 
     With occupancy the tree is read as it stands and never grown.  The crowd
     fixes the floor: the least share of its base cost any edge can cost.
@@ -172,17 +173,14 @@ def plan_individual(
     if distance[origin] == UNREACHABLE:
         return None
     if occupancy is None:
-        # each edge costs shared_cost(base, 1), which is float(base), summed
-        # from the origin as the search sums it
-        edges, next_hop, stops, cost, node = graph.edges, tree.next_hop, [request.origin], 0.0, origin
+        next_hop, stops, node = tree.next_hop, [request.origin], origin
         while node != destination:
             node = next_hop[node]
             stops.append(names[node])
-            cost += float(edges[stops[-2], stops[-1]])
-        return Plan(agent=agent, legs=tuple(zip(stops, stops[1:])), total_cost=cost)
-    # share[k] is shared_cost's factor for a group of k + 1, so share[k] * base
-    # is the float shared_cost(base, k + 1) returns
-    share = [DISCOUNT_SHARE / n + FLOOR_SHARE for n in range(1, occupancy.crowd + 1)]
+        return Plan(agent=agent, legs=tuple(zip(stops, stops[1:])), total_cost=distance[origin])
+    # share[k] * base is the float shared_cost(base, k + 1) returns, as
+    # multiplying by 1.0 is exact
+    share = [shared_cost(1.0, n) for n in range(1, occupancy.crowd + 1)]
     guide = (1.0 - GUIDE_SLACK) * share[-1]
     counts = occupancy.counts
 

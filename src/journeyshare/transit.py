@@ -172,15 +172,6 @@ class TransitNetwork:
             grouped.setdefault((link.from_stop, link.to_stop), []).append(link)
         return {pair: tuple(sorted(links, key=attrgetter("duration"))) for pair, links in grouped.items()}
 
-    def runs(self) -> dict[str, tuple[TimetabledConnection, ...]]:
-        """Connections grouped by run id, runs in network order, each run in
-        seq order.
-
-        One pass over the connections, which make_network has ordered: each
-        run is cut out as it stands, nothing is re-sorted.
-        """
-        return {run_id: tuple(legs) for run_id, legs in groupby(self.connections, attrgetter("run_id"))}
-
 
 @dataclass(frozen=True)
 class RelaxedGraph:
@@ -541,31 +532,33 @@ def _express_excluded(network: TransitNetwork) -> set[tuple[str, str]]:
     Runs sharing a pattern offer identical witness segments, and a segment
     that fails for one fails for all, so each pattern stands in as its least
     run id; witnesses are tried in (run id, i, j) order as if every run had
-    been enumerated.  The runs are grouped once, by TransitNetwork.runs.
+    been enumerated.  Each run's visits are read straight off the
+    connections, where NETWORK_ORDER leaves every run one contiguous slice,
+    and a pair has timetabled legs when network.departures holds it.
     """
     first_run: dict[tuple[str, ...], str] = {}
-    for run_id, legs in network.runs().items():
-        visits = (legs[0].from_stop, *[leg.to_stop for leg in legs])
+    for run_id, legs in groupby(network.connections, attrgetter("run_id")):
+        first = next(legs)
+        visits = (first.from_stop, first.to_stop, *[leg.to_stop for leg in legs])
         if visits not in first_run or run_id < first_run[visits]:
             first_run[visits] = run_id
-    # every connection is a leg of some run, so its pair is consecutive in a pattern
-    direct_pairs = {pair for visits in first_run for pair in zip(visits, visits[1:])}
-    covering: dict[tuple[str, str], list[tuple[str, int, int]]] = {}
+    # every stop but a pattern's last has departures, and none to itself
+    departures = network.departures
+    covering: dict[tuple[str, str], list[tuple[str, int, int, tuple[str, ...]]]] = {}
     for visits, run_id in first_run.items():
-        for i, a in enumerate(visits):
+        for i, a in enumerate(visits[:-2]):
+            direct = departures[a]
             for j in range(i + 2, len(visits)):
-                pair = (a, visits[j])
-                if pair in direct_pairs and a != visits[j]:
-                    covering.setdefault(pair, []).append((run_id, i, j))
-    visits_of = {run_id: visits for visits, run_id in first_run.items()}
+                if visits[j] in direct:
+                    covering.setdefault((a, visits[j]), []).append((run_id, i, j, visits))
 
     excluded: set[tuple[str, str]] = set()
     locked: set[tuple[str, str]] = set()
     for pair in sorted(covering):
         if pair in locked:
             continue
-        for run_id, i, j in sorted(covering[pair]):
-            visits = visits_of[run_id]
+        # (run id, i, j) is unique, so sorting never compares the visits
+        for _, i, j, visits in sorted(covering[pair]):
             segment = list(zip(visits[i:j], visits[i + 1:j + 1]))
             if pair in segment:
                 continue

@@ -87,6 +87,32 @@ class TestPlanCommand:
         assert main(["validate", "--results", str(out / "results.csv")]) == 0
         assert "invariants hold" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "synth_args, golden",
+        [
+            (["--headway", "60", "--leg", "15"], "plan_grid"),
+            (["--spacing-km", "0.45", "--headway", "30", "--leg", "1", "--line-offset", "7"], "plan_walk"),
+        ],
+        ids=["grid", "walk"],
+    )
+    def test_outputs_match_golden_files(self, tmp_path, capsys, synth_args, golden):
+        """plan --out on a 6x8 grid with three requests reproduces its golden
+        copy in tests/data byte for byte, and results.csv with its four
+        timing columns cut.  The walk grid's stops are 0.45 km apart, inside
+        the walk limit, so its itineraries walk.  A change that alters plans
+        on purpose rewrites these files and says so."""
+        assert main(["synth", "--grid", "6x8", *synth_args, "--out", str(tmp_path / "net")]) == 0
+        requests = tmp_path / "requests.csv"
+        write_requests(requests, ["a1,S0000,S0507", "a2,S0100,S0507", "a3,S0001,S0406"])
+        out = tmp_path / "out"
+        args = ["--stops", str(tmp_path / "net" / "stops.csv"), "--timetable", str(tmp_path / "net" / "timetable.csv")]
+        assert main(["plan", *args, "--requests", str(requests), "--out", str(out)]) == 0
+        expected = Path(__file__).parent / "data" / golden
+        for name in ("joint_plan.json", "groups.json", "itineraries.json", "plans.jsonl"):
+            assert (out / name).read_bytes() == (expected / name).read_bytes(), f"{golden}/{name} differs"
+        untimed = [",".join(line.split(",")[:10]) for line in (out / "results.csv").read_text().splitlines()]
+        assert untimed == (expected / "results.csv").read_text().splitlines()
+
     def test_request_file_without_rows_is_parse_error(self, grid_dir, tmp_path, capsys):
         requests = tmp_path / "requests.csv"
         write_requests(requests, [])
@@ -407,6 +433,17 @@ class TestExperimentAndValidate:
         code = main(["validate", "--results", str(bad)])
         assert code == 2
         assert f"{bad}:2: matched/timed_out must be 0 or 1" in capsys.readouterr().err
+
+    def test_validate_group_larger_than_its_experiment_exits_2(self, tmp_path, capsys):
+        from journeyshare.metrics import RESULTS_COLUMNS
+
+        bad = tmp_path / "results.csv"
+        bad.write_text(",".join(RESULTS_COLUMNS) + "\ns,2,NS,1,0.5,0,3,1,0,,0.1,0.1,0.1,0.3\n")
+        code = main(["validate", "--results", str(bad)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:2: group_size must be from 1 to n_agents 2, got 3" in err
+        assert "Traceback" not in err
 
     def test_malformed_matrix_json_is_input_error(self, tmp_path, capsys):
         matrix_path = tmp_path / "matrix.json"

@@ -90,7 +90,7 @@ class TestSyntheticNetwork:
         spec = SyntheticNetworkSpec(width=10, height=10, headway_min=30, leg_min=10)
         net = build_synthetic_network(spec)
         assert len(net.stops) == 100
-        runs = net.runs()
+        runs = {c.run_id for c in net.connections}
         # formula: directions x orientations x lines x departures
         departures = (1440 - 90) // 30 + 1
         assert len(runs) == 2 * 2 * 10 * departures
@@ -791,6 +791,10 @@ class TestValidateResults:
             ("s,-1,,0,,,,,,,0.1,0.1,0.1,0.3", "n_agents must be >= 0"),
             ("s,2,XX,1,0.5,,,,,,0.1,0.1,0.1,0.3", "unknown direction 'XX'"),
             ("s,2,ns,1,0.5,,,,,,0.1,0.1,0.1,0.3", "unknown direction 'ns'"),
+            ("s,2,NS,1,0.5,-7,2,1,0,,0.1,0.1,0.1,0.3", "negative group_id -7"),
+            ("s,2,NS,1,0.5,0,3,1,0,,0.1,0.1,0.1,0.3", "group_size must be from 1 to n_agents 2, got 3"),
+            ("adhoc,3,,0,0.5,0,4,0,0,,0.1,0.1,0.1,0.3", "group_size must be from 1 to n_agents 3, got 4"),
+            ("s,2,NS,1,0.5,0,0,0,0,,0.1,0.1,0.1,0.3", "group_size must be from 1 to n_agents 2, got 0"),
         ],
     )
     def test_rejects_agent_count_and_direction_run_batch_never_writes(self, tmp_path, row, message):
@@ -815,6 +819,8 @@ class TestValidateResults:
             ("s,2,,1.5,0.5,,,,,,0.1,0.1,0.1,0.3", "non-numeric seed '1.5'"),
             ("s,2,NS,1,high,,,,,,0.1,0.1,0.1,0.3", "non-numeric delta_c 'high'"),
             ("s,2,NS,1,0.5,0,two,1,0,0.1,0.1,0.1,0.1,0.3", "non-numeric group_size 'two'"),
+            ("s,2,NS,1,0.5,abc,2,1,0,,0.1,0.1,0.1,0.3", "non-numeric group_id 'abc'"),
+            ("s,2,NS,1,0.5,1.5,2,1,0,,0.1,0.1,0.1,0.3", "non-numeric group_id '1.5'"),
             ("s,2,NS", "expected 14 fields, got 3"),
             ("s,2,NS,1,0.5,0,2,1,0,abc,0.1,0.1,0.1,0.3", "non-numeric delta_t 'abc'"),
             ("s,2,NS,1,nan,,,,,,0.1,0.1,0.1,0.3", "non-finite delta_c 'nan'"),

@@ -377,7 +377,7 @@ class TestValueObjects:
         assert restored.stops == net.stops
         assert restored.connections == net.connections
         assert restored.walking_links == net.walking_links
-        assert restored.runs() == net.runs()
+        assert restored.departures == net.departures
 
 
 class TestLegChecks:
