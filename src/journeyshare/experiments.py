@@ -584,8 +584,18 @@ def _number(record: dict[str, str], col: str, where: str, kind=float):
 
 
 def validate_results_file(path: str | Path) -> int:
-    """Re-check row-level invariants of a results.csv; returns the row count."""
+    """Re-check the invariants of a results.csv; returns the row count.
+
+    Each row is checked alone, then by position: run_batch and plan write an
+    experiment's summary row and then its group rows, all with the same
+    scenario, n_agents, direction and seed, so a group row must follow its
+    own experiment's summary row or group rows, with a group_id new to the
+    experiment, and the group sizes add up to at most n_agents.  Two matrix
+    cells may write the same four fields, so they name no experiment across
+    the file.
+    """
     count = 0
+    experiment = None
     for lineno, row in read_csv(path, RESULTS_COLUMNS):
         count += 1
         where = f"{path}:{lineno}"
@@ -606,7 +616,8 @@ def validate_results_file(path: str | Path) -> int:
         if is_summary and (record["group_size"] or record["matched"] or record["delta_t"]):
             raise ConsistencyError(f"{where}: summary row carries group fields")
         if not is_summary:
-            if _number(record, "group_id", where, int) < 0:
+            group_id = _number(record, "group_id", where, int)
+            if group_id < 0:
                 raise ConsistencyError(f"{where}: negative group_id {record['group_id']}")
             if record["matched"] not in ("0", "1") or record["timed_out"] not in ("0", "1"):
                 raise ConsistencyError(f"{where}: matched/timed_out must be 0 or 1")
@@ -622,4 +633,17 @@ def validate_results_file(path: str | Path) -> int:
         for col in TIMING_COLUMNS:
             if record[col] == "" or _number(record, col, where) < 0:
                 raise ConsistencyError(f"{where}: missing or negative timing {col}")
+
+        key = row[:4]
+        if is_summary:
+            experiment, group_ids, members = key, set(), 0
+            continue
+        if key != experiment:
+            raise ConsistencyError(f"{where}: group row does not follow its experiment's summary row")
+        if group_id in group_ids:
+            raise ConsistencyError(f"{where}: duplicate group_id {group_id} in its experiment")
+        group_ids.add(group_id)
+        members += group_size
+        if members > n_agents:
+            raise ConsistencyError(f"{where}: group sizes add up to {members}, more than n_agents {n_agents}")
     return count

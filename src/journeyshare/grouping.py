@@ -5,7 +5,8 @@ directly or transitively, share a group even when they share no edge, and
 each group is timetabled independently.  Within a group, the journey splits
 into parts, maximal chains travelled by one fixed set of agents.  The
 relevant timetable for a group keeps only services that connect stops of one
-part in travel direction, which admits direct trains over a stopping route.
+part in travel direction, which admits direct trains over a stopping route;
+it is a view that holds the network's own departure and walk tuples.
 """
 
 from __future__ import annotations
@@ -151,34 +152,53 @@ def part_precedence(parts: list[Part]) -> list[int]:
     return topo
 
 
-def relevant_timetable(parts: list[Part], network: TransitNetwork) -> TransitNetwork:
-    """The network slice a group's scheduling may use: timetabled legs linking
-    two stops of one part in travel direction, plus walking links between
-    consecutive part stops, connections in NETWORK_ORDER.
+@dataclass(frozen=True)
+class RelevantTimetable:
+    """A group's relevant timetable as a view of the network's own index.
 
-    Reads the network's departures per stop and next stop, and its walks per
-    stop pair, as the part search does, so the cost is the number of
-    departures that stay on a part, not parts times network size.
+    departures maps a part stop to each next stop later on one of its parts,
+    and walks maps each pair of consecutive part stops to its links; every
+    value is the network's own tuple, in the network's order.  The part
+    search reads only departures and walks, so it takes this view or the
+    network alike.  connections and walking_links are derived on each read.
     """
-    connections: list[TimetabledConnection] = []
-    seen: set[tuple[str, int]] = set()
-    walks: set[WalkingLink] = set()
+
+    departures: Mapping[str, Mapping[str, tuple[TimetabledConnection, ...]]]
+    walks: Mapping[tuple[str, str], tuple[WalkingLink, ...]]
+
+    @property
+    def connections(self) -> tuple[TimetabledConnection, ...]:
+        """The kept legs in NETWORK_ORDER."""
+        legs = [conn for to_stops in self.departures.values() for conns in to_stops.values() for conn in conns]
+        return tuple(sorted(legs, key=NETWORK_ORDER))
+
+    @property
+    def walking_links(self) -> frozenset[WalkingLink]:
+        return frozenset(link for links in self.walks.values() for link in links)
+
+
+def relevant_timetable(parts: list[Part], network: TransitNetwork) -> RelevantTimetable:
+    """The part of the network a group's scheduling may use: departures
+    linking two stops of one part in travel direction, plus walking links
+    between consecutive part stops.
+
+    Reads each part stop's next stops once and keeps the network's tuple for
+    those later on the part, so the cost is the part stops' next stops, not
+    the departures kept, and no leg is copied.
+    """
+    departures: dict[str, dict[str, tuple[TimetabledConnection, ...]]] = {}
+    walks: dict[tuple[str, str], tuple[WalkingLink, ...]] = {}
     for part in parts:
         position = {stop: i for i, stop in enumerate(part.stops)}
         for stop, i in position.items():
-            for succ, conns in network.departures.get(stop, {}).items():
-                if position.get(succ, -1) <= i:
-                    continue
-                for conn in conns:
-                    key = (conn.run_id, conn.seq)
-                    if key not in seen:
-                        seen.add(key)
-                        connections.append(conn)
+            next_stops = network.departures.get(stop, {})
+            ahead = {succ: conns for succ, conns in next_stops.items() if position.get(succ, -1) > i}
+            if ahead:
+                departures.setdefault(stop, {}).update(ahead)
         for pair in zip(part.stops, part.stops[1:]):
-            walks.update(network.walks.get(pair, ()))
-
-    connections.sort(key=NETWORK_ORDER)
-    return TransitNetwork(stops=network.stops, connections=tuple(connections), walking_links=frozenset(walks))
+            if pair in network.walks:
+                walks[pair] = network.walks[pair]
+    return RelevantTimetable(departures, walks)
 
 
 def group_to_dict(group: Group, parts: list[Part]) -> dict:

@@ -25,7 +25,7 @@ from typing import Mapping
 from .config import EngineConfig
 from .errors import ConsistencyError, InputError
 # relevant_timetable is not called here; perfbench wraps scheduling.relevant_timetable by name
-from .grouping import Part, part_precedence, relevant_timetable
+from .grouping import Part, RelevantTimetable, part_precedence, relevant_timetable
 from .planning import AgentId, Plan
 from .transit import DAY_MINUTES, DEPARTURE_ORDER, TransitNetwork
 
@@ -118,13 +118,14 @@ class _PartSolver:
     None for walks, which start any time.  Among equally good moves both
     searches keep the first, but only the latest-departure search picks legs.
 
-    The moves are read off tt.departures per next stop, and only the next
-    stops later on the part are read, so tt may be the whole network or any
-    slice of it that holds the part's legs.  A stop with departures to two or
-    more later part stops (express legs) has them merged on DEPARTURE_ORDER.
+    The moves are read off tt.departures per next stop and tt.walks, and only
+    the next stops later on the part are read, so tt may be the network or
+    the RelevantTimetable view of it cut for a group that holds the part.  A
+    stop with departures to two or more later part stops (express legs) has
+    them merged on DEPARTURE_ORDER.
     """
 
-    def __init__(self, part: Part, tt: TransitNetwork):
+    def __init__(self, part: Part, tt: TransitNetwork | RelevantTimetable):
         self.part = part
         self.size = len(part.stops)
         position = {stop: i for i, stop in enumerate(part.stops)}
@@ -205,7 +206,7 @@ class _PartSolver:
 
 
 def schedule_group(
-    parts: list[Part], tt: TransitNetwork, time_limit_s: float | None = None
+    parts: list[Part], tt: TransitNetwork | RelevantTimetable, time_limit_s: float | None = None
 ) -> ScheduleResult:
     """Two-pass schedule for a whole group, or infeasible/timeout.
 
@@ -219,8 +220,9 @@ def schedule_group(
     exactly then, so every successor's ready time holds.  A search that
     finds nothing anyway raises ConsistencyError.
 
-    tt may be any network that holds the parts' legs: the prepared network,
-    or a slice of it such as relevant_timetable cuts.
+    tt is read only through its departures and walks maps, so it may be the
+    prepared network or the RelevantTimetable view that relevant_timetable
+    cuts from it for the parts.
 
     The clock is read once, at the start: before each part's search in
     either pass, a group whose time_limit_s has run out is given up as timed

@@ -445,6 +445,18 @@ class TestExperimentAndValidate:
         assert f"{bad}:2: group_size must be from 1 to n_agents 2, got 3" in err
         assert "Traceback" not in err
 
+    def test_validate_duplicate_group_id_exits_2(self, tmp_path, capsys):
+        from journeyshare.metrics import RESULTS_COLUMNS
+
+        bad = tmp_path / "results.csv"
+        rows = ["s,2,NS,1,0.5,,,,,,0.1,0.1,0.1,0.3"] + ["s,2,NS,1,0.5,0,1,1,0,,0.1,0.1,0.1,0.3"] * 2
+        bad.write_text("\n".join([",".join(RESULTS_COLUMNS), *rows]) + "\n")
+        code = main(["validate", "--results", str(bad)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:4: duplicate group_id 0 in its experiment" in err
+        assert "Traceback" not in err
+
     def test_malformed_matrix_json_is_input_error(self, tmp_path, capsys):
         matrix_path = tmp_path / "matrix.json"
         matrix_path.write_text('{\n  "scenario": "cli",\n  "agents": [2,\n}\n')

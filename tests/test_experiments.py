@@ -24,7 +24,7 @@ from journeyshare.experiments import (
     sample_requests,
     validate_results_file,
 )
-from journeyshare.metrics import RESULTS_COLUMNS
+from journeyshare.metrics import RESULTS_COLUMNS, TIMING_COLUMNS
 from journeyshare.planning import AgentRequest
 from journeyshare.synth import (
     SyntheticNetworkSpec,
@@ -632,8 +632,7 @@ class TestRunBatch:
         run_batch(matrix, out)
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
-        timing = {"t_initial_s", "t_br_s", "t_schedule_s", "t_total_s"}
-        keep = [i for i, column in enumerate(rows[0]) if column not in timing]
+        keep = [i for i, column in enumerate(rows[0]) if column not in TIMING_COLUMNS]
         with open(golden_path, newline="") as fh:
             golden = list(csv.reader(fh))
         for lineno, (row, expected) in enumerate(zip(rows, golden), start=1):
@@ -834,3 +833,44 @@ class TestValidateResults:
         bad.write_text(",".join(RESULTS_COLUMNS) + "\n" + row + "\n")
         with pytest.raises(ParseError, match=r"bad\.csv:2: " + message):
             validate_results_file(bad)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # two groups with group_id 0, and three groups of size 2 among 2 agents
+            (
+                ["s,2,NS,1,0.5,,,,,,0.1,0.1,0.1,0.3", "s,2,NS,1,0.5,0,2,1,0,,0.1,0.1,0.1,0.3"]
+                + ["s,2,NS,1,0.5,0,2,1,0,,0.1,0.1,0.1,0.3", "s,2,NS,1,0.5,1,2,1,0,,0.1,0.1,0.1,0.3"],
+                "4: duplicate group_id 0 in its experiment",
+            ),
+            (
+                ["s,3,NS,1,0.5,,,,,,0.1,0.1,0.1,0.3", "s,3,NS,1,0.5,0,2,1,0,,0.1,0.1,0.1,0.3"]
+                + ["s,3,NS,1,0.5,1,2,0,0,,0.1,0.1,0.1,0.3"],
+                "4: group sizes add up to 4, more than n_agents 3",
+            ),
+            # a group row with no summary row, after another experiment's rows
+            (
+                ["s,2,NS,1,0.5,,,,,,0.1,0.1,0.1,0.3", "s,2,NS,1,0.5,0,2,1,0,,0.1,0.1,0.1,0.3"]
+                + ["t,2,NS,9,0.5,0,2,1,0,,0.1,0.1,0.1,0.3"],
+                "4: group row does not follow its experiment's summary row",
+            ),
+            (["s,2,NS,1,0.5,0,2,1,0,,0.1,0.1,0.1,0.3"], "2: group row does not follow its experiment's summary row"),
+            # the experiment's summary row comes after its group row
+            (
+                ["s,2,NS,1,0.5,0,2,1,0,,0.1,0.1,0.1,0.3", "s,2,NS,1,0.5,,,,,,0.1,0.1,0.1,0.3"],
+                "2: group row does not follow its experiment's summary row",
+            ),
+        ],
+    )
+    def test_rejects_groups_their_experiment_cannot_hold(self, tmp_path, rows, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join([",".join(RESULTS_COLUMNS), *rows]) + "\n")
+        with pytest.raises(ConsistencyError, match=r"bad\.csv:" + message + "$"):
+            validate_results_file(bad)
+
+    def test_two_cells_may_write_the_same_experiment_fields(self, tmp_path):
+        # each summary row starts a new experiment, so group ids and sizes count afresh
+        good = tmp_path / "good.csv"
+        experiment = ["s,2,NS,1,0.5,,,,,,0.1,0.1,0.1,0.3", "s,2,NS,1,0.5,0,2,1,0,,0.1,0.1,0.1,0.3"]
+        good.write_text("\n".join([",".join(RESULTS_COLUMNS), *experiment, *experiment]) + "\n")
+        assert validate_results_file(good) == 4

@@ -30,7 +30,7 @@ from journeyshare.transit import (
 )
 
 from conftest import WALK_NETWORK, grid_walk_parts, write_csv
-from oracle_utils import oracle_agent_durations, oracle_schedule
+from oracle_utils import brute_force_relevant_timetable, oracle_agent_durations, oracle_schedule
 
 
 def conn(service, run, seq, a, b, dep, dur) -> TimetabledConnection:
@@ -590,6 +590,47 @@ class TestPartSolverMoves:
     def test_walking_grid(self, parts):
         for part in parts:
             self.check(part.stops, WALK_NETWORK)
+
+
+@st.composite
+def corridor_parts(draw):
+    """One to three lone parts over CORRIDOR_NAMES, each its own agent's journey."""
+    parts = []
+    for pid in range(draw(st.integers(1, 3))):
+        stops = draw(st.lists(st.sampled_from(CORRIDOR_NAMES), min_size=2, max_size=len(CORRIDOR_NAMES), unique=True))
+        parts.append(Part(id=pid, agents=frozenset({pid}), stops=tuple(stops), prev={pid: None}, next={pid: None}))
+    return parts
+
+
+class TestRelevantTimetableView:
+    """A group's relevant timetable holds the network's own departure and
+    walk tuples, keeps the legs a scan of every connection keeps, and
+    schedules the group as that copied slice and the whole network do."""
+
+    @staticmethod
+    def check(parts, network):
+        tt = relevant_timetable(parts, network)
+        for stop, to_stops in tt.departures.items():
+            for succ, conns in to_stops.items():
+                assert conns is network.departures[stop][succ]
+        for pair, links in tt.walks.items():
+            assert links is network.walks[pair]
+        sliced = brute_force_relevant_timetable(parts, network)
+        assert tt.connections == sliced.connections
+        assert tt.walking_links == sliced.walking_links
+        result = schedule_group(parts, tt)
+        assert result == schedule_group(parts, sliced)
+        assert result == schedule_group(parts, network)
+
+    @settings(max_examples=200, deadline=None)
+    @given(network=corridor_networks(), parts=corridor_parts())
+    def test_corridors_with_express_legs(self, network, parts):
+        self.check(parts, network)
+
+    @settings(max_examples=100, deadline=None)
+    @given(parts=grid_walk_parts())
+    def test_walking_grid(self, parts):
+        self.check(parts, WALK_NETWORK)
 
 
 class TestTimeLimits:
